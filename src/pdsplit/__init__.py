@@ -22,7 +22,6 @@ from .linalg import (
     matrix_op,
     matrix_precond,
     power_iteration_sqnorm,
-    saddle_apply,
     scalar_precond,
     scaled_identity_op,
     seminorm,
@@ -35,26 +34,20 @@ from .monotone import (
     box_operator,
     data_fit_operator,
     dual_resolvent,
-    from_prox,
     l1_operator,
     monotone_linear,
     moreau_inverse_resolvent,
     project_box,
     prox_l1,
-    resolvent_generic,
-    resolvent_quadratic,
     zero_operator,
 )
 from .km import (
     DisplacementMonitor,
     FejerMonitor,
-    FixedPointMap,
     IterTrace,
     KMResult,
     Monitor,
     RelaxationSchedule,
-    displacement_monitor,
-    fejer_monitor,
     km_iterate,
     residual_rel,
 )

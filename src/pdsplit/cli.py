@@ -16,7 +16,6 @@ import argparse
 import configparser
 import csv
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .tv import (
     boundary_sigmas,
     build_gaussian_blur,
     build_problem,
+    check_config,
     equal_critical_sigma,
     gradient_norm_sq,
     psnr,
@@ -55,8 +55,6 @@ from .tv import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOCONV = 2
-
-WORKERS_ENV = "PDSPLIT_WORKERS"
 
 TRACE_COLUMNS = ("n", "residual", "objective")
 
@@ -208,6 +206,7 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
         observed = ImageGrid(pixels, float(maxval))
         clean = None
         R = build_gaussian_blur(*observed.shape, size, std)
+    check_config(cfg, observed.shape)
     return cfg, observed, R, clean
 
 
@@ -283,15 +282,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             or (cp["output"].get("out_dir", "runs")
                 if cp.has_section("output") else "runs")
         )
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = sweep(grid, instance, seeds, workers=workers)
+    rows = sweep(grid, instance, seeds, workers=args.workers)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     n_conv = sum(1 for r in rows if r["converged"])
     print(f"cells={len(rows)} converged={n_conv} -> {out_dir / 'sweep.csv'}")
@@ -386,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="relaxation", type=float, default=None)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--workers", type=int, default=None)
 
     p_solve = sub.add_parser("solve-tv", help="one deblurring run")
     common(p_solve)
@@ -394,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="step-size/relaxation study")
     common(p_sweep)
+    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep, needs_config=True)
 
     p_drs = sub.add_parser("drs-check", help="sequence equivalence suite")

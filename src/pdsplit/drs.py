@@ -9,17 +9,11 @@ transport between fixed points of the two formulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .km import (
-    FixedPointMap,
-    IterTrace,
-    KMResult,
-    Monitor,
-    RelaxationSchedule,
-    km_iterate,
-)
+from .km import KMResult, Monitor, RelaxationSchedule, km_iterate
 from .linalg import HVector, PDState, Precond, identity_op
 from .monotone import MonotoneOp
 from .primal_dual import PDProblem, pd_iterate
@@ -65,8 +59,8 @@ def drs_iterate(
     max_iter: int,
     monitors: tuple[Monitor, ...] = (),
 ) -> KMResult:
-    s_map = FixedPointMap(apply=lambda z: drs_operator(p, z))
-    return km_iterate(s_map, z0, sched, eps, max_iter, monitors=monitors)
+    return km_iterate(lambda z: drs_operator(p, z), z0, sched, eps,
+                      max_iter, monitors=monitors)
 
 
 def as_pd_problem(p: DRSProblem) -> PDProblem:
@@ -81,32 +75,31 @@ def as_pd_problem(p: DRSProblem) -> PDProblem:
 
 
 @dataclass
-class PDDRSResult:
-    state: PDState
+class PDDRSResult(KMResult):
+    """Primal-dual run plus its auxiliary sequence z_n = x_n - Y u_n."""
+
     z_sequence: list[HVector] = field(default_factory=list)
-    trace: list[IterTrace] = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
 
 
-class _AuxCollector(Monitor):
-    """Records z_n = x_n - Y u_n along the primal-dual recurrence."""
+class _Collector(Monitor):
+    """Records f(z_0), f(z_1), ... along a run."""
 
-    def __init__(self, upsilon: Precond):
-        self.upsilon = upsilon
-        self.zs: list[HVector] = []
+    def __init__(self, f: Callable):
+        self.f = f
+        self.values: list = []
 
-    def _map(self, state: PDState) -> HVector:
-        return HVector(
-            state.x.data - self.upsilon.apply(state.duals[0].data),
-            state.x.dims,
-        )
-
-    def start(self, z0: PDState) -> None:
-        self.zs.append(self._map(z0))
+    def start(self, z0) -> None:
+        self.values.append(self.f(z0))
 
     def observe(self, n, z, sz, z_next) -> None:
-        self.zs.append(self._map(z_next))
+        self.values.append(self.f(z_next))
+
+
+def _aux_point(p: DRSProblem, state: PDState) -> HVector:
+    """z = x - Y u for a primal-dual state (x, (u,))."""
+    return HVector(
+        state.x.data - p.upsilon.apply(state.duals[0].data), state.x.dims
+    )
 
 
 def pd_drs_iterate(
@@ -124,27 +117,18 @@ def pd_drs_iterate(
     auxiliary sequence z_n = x_n - Y u_n, which coincides step by step
     with the classic relaxed iteration started at z_0 = x_0 - Y u_0.
     """
-    pd = as_pd_problem(p)
-    z0 = PDState(x0, (u0,))
-    collector = _AuxCollector(p.upsilon)
-    result = pd_iterate(pd, z0, sched, eps, max_iter, monitors=(collector,))
-    return PDDRSResult(
-        state=result.state,
-        z_sequence=collector.zs,
-        trace=result.trace,
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    collector = _Collector(lambda state: _aux_point(p, state))
+    result = pd_iterate(as_pd_problem(p), PDState(x0, (u0,)), sched, eps,
+                        max_iter, monitors=(collector,))
+    return PDDRSResult(**vars(result), z_sequence=collector.values)
 
 
 def _solve_id_plus_sq(upsilon: Precond, arr: np.ndarray) -> np.ndarray:
-    """(Id + Y^2)^{-1} applied to a flat array; closed form for scalar
-    and diagonal preconditioners, dense solve otherwise."""
-    if upsilon.kind == "scalar":
-        return arr / (1.0 + upsilon.value ** 2)
-    if upsilon.kind == "diagonal":
-        return arr / (1.0 + np.asarray(upsilon.value) ** 2)
-    m = upsilon.as_matrix()
+    """(Id + Y^2)^{-1} applied to a flat array; closed form for a
+    diagonal preconditioner, dense solve otherwise."""
+    if upsilon.diag is not None:
+        return arr / (1.0 + upsilon.diag ** 2)
+    m = upsilon.matrix
     return np.linalg.solve(np.eye(upsilon.dim) + m @ m, arr)
 
 
@@ -180,22 +164,11 @@ def equivalence_deviation(
     """Max componentwise gap between the primal-dual auxiliary sequence
     and the classic relaxed iteration over a fixed number of steps."""
     pd_run = pd_drs_iterate(p, x0, u0, sched, eps=None, max_iter=iters)
-    z0 = HVector(x0.data - p.upsilon.apply(u0.data), x0.dims)
-    s_map = FixedPointMap(apply=lambda z: drs_operator(p, z))
-
-    class _Collect(Monitor):
-        def __init__(self):
-            self.zs = []
-
-        def start(self, z):
-            self.zs.append(z)
-
-        def observe(self, n, z, sz, z_next):
-            self.zs.append(z_next)
-
-    coll = _Collect()
-    km_iterate(s_map, z0, sched, eps=None, max_iter=iters, monitors=(coll,))
+    z0 = _aux_point(p, PDState(x0, (u0,)))
+    coll = _Collector(lambda z: z)
+    km_iterate(lambda z: drs_operator(p, z), z0, sched, eps=None,
+               max_iter=iters, monitors=(coll,))
     dev = 0.0
-    for za, zb in zip(pd_run.z_sequence, coll.zs):
+    for za, zb in zip(pd_run.z_sequence, coll.values):
         dev = max(dev, float(np.max(np.abs(za.data - zb.data))))
     return dev

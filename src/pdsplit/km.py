@@ -9,7 +9,6 @@ parameter sweeps can record failures.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -17,7 +16,6 @@ from typing import Any, Callable, Optional, Sequence
 from .linalg import SaddleOperator, seminorm
 
 __all__ = [
-    "FixedPointMap",
     "RelaxationSchedule",
     "IterTrace",
     "KMResult",
@@ -26,17 +24,7 @@ __all__ = [
     "DisplacementMonitor",
     "km_iterate",
     "residual_rel",
-    "fejer_monitor",
-    "displacement_monitor",
 ]
-
-
-@dataclass(frozen=True)
-class FixedPointMap:
-    """A self-map of the iteration space, applied once per step."""
-
-    apply: Callable[[Any], Any]
-    block_dims: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,13 +78,12 @@ def _check_lambda(lam: float) -> None:
 @dataclass(frozen=True)
 class IterTrace:
     """Per-iteration record: update index, relative step residual,
-    optional objective value and displacement seminorm, wall time."""
+    optional objective value and displacement seminorm."""
 
     n: int
     residual: float
     objective: Optional[float] = None
     displacement: Optional[float] = None
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -189,16 +176,8 @@ class DisplacementMonitor(Monitor):
         return self.final / self.initial if self.initial != 0.0 else 0.0
 
 
-def fejer_monitor(v_op: SaddleOperator, anchor) -> FejerMonitor:
-    return FejerMonitor(v_op, anchor)
-
-
-def displacement_monitor(v_op: SaddleOperator) -> DisplacementMonitor:
-    return DisplacementMonitor(v_op)
-
-
 def km_iterate(
-    s_map: FixedPointMap,
+    s_map: Callable[[Any], Any],
     z0,
     sched: RelaxationSchedule,
     eps: float | None,
@@ -209,11 +188,13 @@ def km_iterate(
 ) -> KMResult:
     """Relaxed fixed-point iteration until residual_rel < eps.
 
-    ``eps=None`` disables the stopping rule and runs exactly
-    ``max_iter`` steps (used by sequence-equivalence checks).  If the
-    iteration stops at ``max_iter`` without meeting ``eps`` the result
-    is flagged non-converged rather than raising.  Bit-deterministic
-    for identical inputs and schedule.
+    ``s_map`` is the self-map S of the iteration space.  A step with
+    lambda_n = 0 never meets ``eps``: its relaxed step is zero whatever
+    S z_n - z_n is.  ``eps=None`` disables the stopping rule and runs
+    exactly ``max_iter`` steps (used by sequence-equivalence checks).
+    If the iteration stops at ``max_iter`` without meeting ``eps`` the
+    result is flagged non-converged rather than raising.
+    Bit-deterministic for identical inputs and schedule.
     """
     if eps is not None and eps <= 0:
         raise ValueError("eps must be positive (or None for fixed-count runs)")
@@ -235,8 +216,7 @@ def km_iterate(
     trace: list[IterTrace] = []
     converged = False
     for n in range(max_iter):
-        t0 = time.perf_counter()
-        sz = s_map.apply(z)
+        sz = s_map(z)
         lam = sched.lambda_at(n)
         z_next = (1.0 - lam) * z + lam * sz
         r = residual_rel(z_next, z)
@@ -244,11 +224,9 @@ def km_iterate(
             m.observe(n, z, sz, z_next)
         obj = objective_fn(z_next) if objective_fn is not None else None
         disp = disp_mon.last_value if disp_mon is not None else None
-        trace.append(
-            IterTrace(n, r, obj, disp, (time.perf_counter() - t0) * 1e3)
-        )
+        trace.append(IterTrace(n, r, obj, disp))
         z = z_next
-        if eps is not None and r < eps:
+        if eps is not None and lam > 0.0 and r < eps:
             converged = True
             break
     return KMResult(state=z, trace=trace, converged=converged,

@@ -38,7 +38,6 @@ __all__ = [
     "diagonal_precond",
     "matrix_precond",
     "power_iteration_sqnorm",
-    "saddle_apply",
     "seminorm",
     "cocoercivity_constant",
     "dense_range_diagnostics",
@@ -250,76 +249,63 @@ def matrix_op(mat: np.ndarray) -> LinOp:
 class Precond:
     """Strongly monotone self-adjoint linear operator.
 
-    Exposes application, inverse application and a self-adjoint square
-    root, plus its strong-monotonicity constant (smallest eigenvalue)
-    and an upper bound on its operator norm (largest eigenvalue).
-    ``kind`` is one of ``scalar``/``diagonal``/``dense``; resolvent
-    families use it to pick closed forms.
+    Either a positive diagonal ``diag`` (a float or a 1-D array; numpy
+    broadcasting covers both) or a dense symmetric positive-definite
+    ``matrix``, stored with its inverse and its self-adjoint square
+    root.  Resolvent families read ``diag`` for their closed forms.
     """
 
-    kind: str
     dim: int
-    strong_monotonicity_constant: float
-    norm_bound: float
-    apply: Callable[[np.ndarray], np.ndarray]
-    apply_inverse: Callable[[np.ndarray], np.ndarray]
-    apply_sqrt: Callable[[np.ndarray], np.ndarray]
-    value: object = None
+    diag: float | np.ndarray | None = None
+    matrix: np.ndarray | None = None
+    matrix_inv: np.ndarray | None = field(default=None, repr=False)
+    matrix_sqrt: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def strong_monotonicity_constant(self) -> float:
+        """Smallest eigenvalue."""
+        if self.matrix is None:
+            return float(np.min(self.diag))
+        return float(np.linalg.eigvalsh(self.matrix)[0])
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        if self.matrix is None:
+            return self.diag * v
+        return self.matrix @ v
+
+    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+        if self.matrix is None:
+            return v / self.diag
+        return self.matrix_inv @ v
+
+    def apply_sqrt(self, v: np.ndarray) -> np.ndarray:
+        if self.matrix is None:
+            return np.sqrt(self.diag) * v
+        return self.matrix_sqrt @ v
 
     def inverse(self) -> "Precond":
-        if self.kind == "scalar":
-            return scalar_precond(1.0 / self.value, self.dim)
-        if self.kind == "diagonal":
-            return diagonal_precond(1.0 / self.value)
-        return matrix_precond(np.linalg.inv(self.value))
+        if self.matrix is None:
+            return Precond(self.dim, diag=1.0 / self.diag)
+        return matrix_precond(np.linalg.inv(self.matrix))
 
     def as_matrix(self) -> np.ndarray:
-        if self.kind == "scalar":
-            return self.value * np.eye(self.dim)
-        if self.kind == "diagonal":
-            return np.diag(self.value)
-        return np.asarray(self.value)
-
-    def inverse_matrix(self) -> np.ndarray:
-        if self.kind == "scalar":
-            return (1.0 / self.value) * np.eye(self.dim)
-        if self.kind == "diagonal":
-            return np.diag(1.0 / self.value)
-        return np.linalg.inv(self.value)
+        if self.matrix is None:
+            return np.diag(np.full(self.dim, self.diag))
+        return self.matrix
 
 
 def scalar_precond(c: float, dim: int) -> Precond:
     c = float(c)
     if c <= 0:
         raise ValueError("scalar preconditioner must be positive")
-    r = math.sqrt(c)
-    return Precond(
-        kind="scalar",
-        dim=dim,
-        strong_monotonicity_constant=c,
-        norm_bound=c,
-        apply=lambda v: c * v,
-        apply_inverse=lambda v: v / c,
-        apply_sqrt=lambda v: r * v,
-        value=c,
-    )
+    return Precond(dim, diag=c)
 
 
 def diagonal_precond(diag) -> Precond:
     d = np.asarray(diag, dtype=np.float64).ravel()
     if np.any(d <= 0):
         raise ValueError("diagonal preconditioner entries must be positive")
-    r = np.sqrt(d)
-    return Precond(
-        kind="diagonal",
-        dim=d.size,
-        strong_monotonicity_constant=float(d.min()),
-        norm_bound=float(d.max()),
-        apply=lambda v: d * v,
-        apply_inverse=lambda v: v / d,
-        apply_sqrt=lambda v: r * v,
-        value=_freeze(d),
-    )
+    return Precond(d.size, diag=_freeze(d))
 
 
 def matrix_precond(mat: np.ndarray) -> Precond:
@@ -331,18 +317,11 @@ def matrix_precond(mat: np.ndarray) -> Precond:
     w, u = np.linalg.eigh(m)
     if w.min() <= 0:
         raise ValueError("matrix preconditioner must be positive definite")
-    inv = (u * (1.0 / w)) @ u.T
-    root = (u * np.sqrt(w)) @ u.T
-    m = _freeze(m)
     return Precond(
-        kind="dense",
-        dim=m.shape[0],
-        strong_monotonicity_constant=float(w.min()),
-        norm_bound=float(w.max()),
-        apply=lambda v: m @ v,
-        apply_inverse=lambda v: inv @ v,
-        apply_sqrt=lambda v: root @ v,
-        value=m,
+        m.shape[0],
+        matrix=_freeze(m),
+        matrix_inv=(u * (1.0 / w)) @ u.T,
+        matrix_sqrt=(u * np.sqrt(w)) @ u.T,
     )
 
 
@@ -429,21 +408,16 @@ class SaddleOperator:
                 f"total dimension {total} exceeds dense limit {DENSE_DIM_LIMIT}"
             )
         mat = np.zeros((total, total))
-        mat[:n, :n] = self.upsilon.inverse_matrix()
+        mat[:n, :n] = self.upsilon.inverse().as_matrix()
         off = n
         for s, l in zip(self.sigma_blocks, self.l_blocks):
             lm = l.as_matrix()
             m = s.dim
             mat[:n, off:off + m] = -lm.T
             mat[off:off + m, :n] = -lm
-            mat[off:off + m, off:off + m] = s.inverse_matrix()
+            mat[off:off + m, off:off + m] = s.inverse().as_matrix()
             off += m
         return mat
-
-
-def saddle_apply(v_op: SaddleOperator, z: PDState) -> PDState:
-    """Apply the saddle-point metric operator to a primal-dual state."""
-    return v_op.apply(z)
 
 
 def seminorm(v_op: SaddleOperator, z: PDState) -> float:

@@ -21,9 +21,7 @@ __all__ = [
     "UnsupportedPreconditionerError",
     "prox_l1",
     "project_box",
-    "resolvent_quadratic",
     "moreau_inverse_resolvent",
-    "resolvent_generic",
     "dual_resolvent",
     "zero_operator",
     "affine_operator",
@@ -31,15 +29,24 @@ __all__ = [
     "l1_operator",
     "box_operator",
     "data_fit_operator",
-    "from_prox",
 ]
 
 DENSE_SOLVE_LIMIT = 4096
 
 
 class UnsupportedPreconditionerError(ValueError):
-    """Raised when an operator family has no resolvent for a
-    preconditioner kind."""
+    """Raised when an operator family has no closed-form resolvent for
+    a preconditioner."""
+
+
+def _diagonal(p: Precond, family: str):
+    """The diagonal of ``p`` (a float or a per-component array), for
+    resolvent families whose closed forms need one."""
+    if p.diag is None:
+        raise UnsupportedPreconditionerError(
+            f"{family} resolvent needs a diagonal preconditioner"
+        )
+    return p.diag
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class MonotoneOp:
 
     ``resolvent(precond, x)`` evaluates (Id + P A)^{-1} x for this
     operator A and the preconditioner P; families raise
-    UnsupportedPreconditionerError for preconditioner kinds they do not
+    UnsupportedPreconditionerError for preconditioners they do not
     support in closed form.
     """
 
@@ -128,11 +135,6 @@ class QuadraticDataFit:
         return HVector(y, x.dims)
 
 
-def resolvent_quadratic(q: QuadraticDataFit, tau: float, x: HVector) -> HVector:
-    """Unique minimizer of 0.5*||R y - b||^2 + ||y - x||^2/(2 tau)."""
-    return q.resolvent(tau, x)
-
-
 def moreau_inverse_resolvent(
     prox_g: Callable[[float, HVector], HVector],
     sigma: float,
@@ -147,11 +149,6 @@ def moreau_inverse_resolvent(
         raise ValueError("sigma must be positive")
     v = HVector(u.data / sigma, u.dims)
     return HVector(sigma * (v.data - prox_g(1.0 / sigma, v).data), u.dims)
-
-
-def resolvent_generic(op: MonotoneOp, precond: Precond, x: HVector) -> HVector:
-    """Dispatch to the family-specific resolvent of ``op``."""
-    return op.resolvent(precond, x)
 
 
 def dual_resolvent(op: MonotoneOp, sigma: Precond, u: HVector) -> HVector:
@@ -181,8 +178,8 @@ def affine_operator(slope: float, intercept) -> MonotoneOp:
     c = np.asarray(intercept, dtype=np.float64)
 
     def res(p: Precond, x: HVector) -> HVector:
-        if p.kind in ("scalar", "diagonal"):
-            step = p.value  # scalar or per-component array
+        if p.diag is not None:
+            step = p.diag
             return HVector((x.data - step * c) / (1.0 + step * slope), x.dims)
         m = p.as_matrix()
         rhs = x.data - m @ np.broadcast_to(c, (p.dim,))
@@ -216,11 +213,7 @@ def l1_operator(alpha: float) -> MonotoneOp:
         raise ValueError("alpha must be nonnegative")
 
     def res(p: Precond, x: HVector) -> HVector:
-        if p.kind not in ("scalar", "diagonal"):
-            raise UnsupportedPreconditionerError(
-                "l1 resolvent needs a scalar or diagonal preconditioner"
-            )
-        return prox_l1(x, alpha * np.asarray(p.value))
+        return prox_l1(x, alpha * _diagonal(p, "l1"))
 
     return MonotoneOp(res, f"l1(alpha={alpha})")
 
@@ -231,10 +224,7 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
         raise ValueError("empty box")
 
     def res(p: Precond, x: HVector) -> HVector:
-        if p.kind not in ("scalar", "diagonal"):
-            raise UnsupportedPreconditionerError(
-                "box resolvent needs a scalar or diagonal preconditioner"
-            )
+        _diagonal(p, "box")
         return project_box(x, lo, hi)
 
     return MonotoneOp(res, f"box[{lo},{hi}]")
@@ -244,34 +234,12 @@ def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:
     """Gradient of the quadratic data-fit term as a monotone operator."""
 
     def res(p: Precond, x: HVector) -> HVector:
-        if p.kind != "scalar":
+        tau = _diagonal(p, "quadratic data-fit")
+        if isinstance(tau, np.ndarray):
             raise UnsupportedPreconditionerError(
                 "quadratic data-fit resolvent needs a scalar preconditioner"
             )
-        return q.resolvent(p.value, x)
+        return q.resolvent(tau, x)
 
     return MonotoneOp(res, "quadratic-data-fit")
 
-
-def from_prox(
-    prox_family: Callable[[object, HVector], HVector],
-    descriptor: str,
-    separable: bool = False,
-) -> MonotoneOp:
-    """Subdifferential of a function given through its prox family.
-
-    ``prox_family(kappa, v)`` evaluates the prox of kappa*g at v.  If
-    ``separable`` the family accepts per-component kappa arrays and the
-    diagonal preconditioner case is supported.
-    """
-
-    def res(p: Precond, x: HVector) -> HVector:
-        if p.kind == "scalar":
-            return prox_family(p.value, x)
-        if p.kind == "diagonal" and separable:
-            return prox_family(np.asarray(p.value), x)
-        raise UnsupportedPreconditionerError(
-            f"{descriptor}: unsupported preconditioner kind {p.kind!r}"
-        )
-
-    return MonotoneOp(res, descriptor)

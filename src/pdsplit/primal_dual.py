@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .km import FixedPointMap, KMResult, Monitor, RelaxationSchedule, km_iterate
+from .km import KMResult, Monitor, RelaxationSchedule, km_iterate
 from .linalg import (
     HVector,
     LinOp,
@@ -71,10 +71,6 @@ class PDProblem:
     @property
     def dim(self) -> int:
         return self.upsilon.dim
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return (self.dim,) + tuple(s.dim for s in self.sigmas)
 
     def saddle_operator(self) -> SaddleOperator:
         return SaddleOperator(
@@ -188,11 +184,8 @@ def pd_iterate(
             f"{cond.norm_sq_estimate:.6g} > 1; convergence is not guaranteed",
             stacklevel=2,
         )
-    s_map = FixedPointMap(
-        apply=lambda z: pd_resolvent(p, z), block_dims=p.block_dims
-    )
     return km_iterate(
-        s_map, z0, sched, eps, max_iter,
+        lambda z: pd_resolvent(p, z), z0, sched, eps, max_iter,
         monitors=monitors, objective_fn=objective_fn,
     )
 

@@ -42,6 +42,7 @@ __all__ = [
     "synthetic_image",
     "boundary_sigmas",
     "equal_critical_sigma",
+    "check_config",
     "build_problem",
     "run_tv_solver",
     "sweep",
@@ -147,7 +148,9 @@ def build_gradient_ops(n1: int, n2: int) -> tuple[LinOp, LinOp]:
     def d2_adj(v: np.ndarray) -> np.ndarray:
         y = v.reshape(shape)
         d = np.empty_like(y)
-        np.negative(y[:, 0], out=d[:, 0])
+        # not np.negative(y[:, 0], out=d[:, 0]): numpy 2.4.6 writes that
+        # strided column wrongly when rows are 64 bytes apart (n2 = 8)
+        d[:, 0] = -y[:, 0]
         np.subtract(y[:, :-2], y[:, 1:-1], out=d[:, 1:-1])
         d[:, -1] = y[:, -2]
         return d.ravel()
@@ -289,6 +292,32 @@ def equal_critical_sigma(tau: float, d1_sq: float, d2_sq: float) -> float:
     return 1.0 / (tau * (1.0 + d1_sq + d2_sq))
 
 
+def _check_run_controls(eps: float, max_iter: int) -> None:
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
+def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
+    """Raise ValueError unless ``cfg`` can run on an n1 x n2 grid: eps
+    positive, max_iter at least 1, relaxation in [0, 2] and positive
+    step sizes within the boundary condition."""
+    _check_run_controls(cfg.eps, cfg.max_iter)
+    if not 0.0 <= cfg.relaxation <= 2.0:
+        raise ValueError(f"relaxation {cfg.relaxation} outside [0, 2]")
+    bound = cfg.tau * (
+        cfg.sigma1 * gradient_norm_sq(shape[0])
+        + cfg.sigma2 * gradient_norm_sq(shape[1]) + cfg.sigma3
+    )
+    if bound > 1.0 + 1e-4:
+        raise ValueError(
+            f"step sizes violate the boundary condition ({bound:.6f} > 1)"
+        )
+    if min(cfg.tau, cfg.sigma1, cfg.sigma2, cfg.sigma3) <= 0:
+        raise ValueError("step sizes must be positive")
+
+
 def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
     """Assemble the three-block primal-dual problem for one image.
 
@@ -299,17 +328,7 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
     n = n1 * n2
     if R.dom_dim != n or R.cod_dim != n:
         raise ValueError("blur operator does not match the image grid")
-    d1_sq = gradient_norm_sq(n1)
-    d2_sq = gradient_norm_sq(n2)
-    bound = cfg.tau * (
-        cfg.sigma1 * d1_sq + cfg.sigma2 * d2_sq + cfg.sigma3
-    )
-    if bound > 1.0 + 1e-4:
-        raise ValueError(
-            f"step sizes violate the boundary condition ({bound:.6f} > 1)"
-        )
-    if min(cfg.tau, cfg.sigma1, cfg.sigma2, cfg.sigma3) <= 0:
-        raise ValueError("step sizes must be positive")
+    check_config(cfg, observed.shape)
     d1, d2 = build_gradient_ops(n1, n2)
     b = observed.as_hvector()
     quad = QuadraticDataFit(R, b)
@@ -407,6 +426,9 @@ class TVInstance:
     noise_std_rel: float = 1e-3
     eps: float = 1e-8
     max_iter: int = 100000
+
+    def __post_init__(self):
+        _check_run_controls(self.eps, self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from pdsplit import (
+    DisplacementMonitor,
+    FejerMonitor,
     ImageGrid,
     PDProblem,
     QuadraticDataFit,
@@ -26,10 +28,8 @@ from pdsplit import (
     boundary_sigmas,
     build_gaussian_blur,
     build_gradient_ops,
-    displacement_monitor,
     drs_iterate,
     equivalence_deviation,
-    fejer_monitor,
     fixed_point_transport,
     as_pd_problem,
     gradient_norm_sq,
@@ -43,7 +43,6 @@ from pdsplit import (
     power_iteration_sqnorm,
     project_box,
     prox_l1,
-    resolvent_quadratic,
     run_tv_solver,
     scalar_precond,
     step_condition,
@@ -102,8 +101,8 @@ def monitored_run(tv_instance, anchor):
     """Fresh unit-relaxation solve with both seminorm monitors attached."""
     _, blur, observed = tv_instance
     v_op = anchor.problem.saddle_operator()
-    fm = fejer_monitor(v_op, anchor.state)
-    dm = displacement_monitor(v_op)
+    fm = FejerMonitor(v_op, anchor.state)
+    dm = DisplacementMonitor(v_op)
     t0 = time.perf_counter()
     run = run_tv_solver(tv_config(1.0), observed, blur, monitors=(fm, dm))
     elapsed = time.perf_counter() - t0
@@ -171,7 +170,7 @@ def test_criterion_01_prox_resolvent_oracles():
         x = rng.standard_normal(4)
         tau = float(rng.uniform(0.1, 2.0))
         q = QuadraticDataFit(matrix_op(mat), hvector(b))
-        got = resolvent_quadratic(q, tau, hvector(x)).data
+        got = q.resolvent(tau, hvector(x)).data
         want = np.linalg.solve(np.eye(4) + tau * mat.T @ mat,
                                x + tau * mat.T @ b)
         np.testing.assert_allclose(got, want, atol=1e-10)

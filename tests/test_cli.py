@@ -83,6 +83,45 @@ class TestSolveTV:
             rows = list(csv.reader(f))
         assert len(rows) == 6  # header + 5 iterations
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_zero_relaxation_never_converges(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SOLVE_CONFIG, out=str(tmp_path / "o"))
+        rc = main(["solve-tv", "--config", cfg, "--lambda", "0",
+                   "--max-iter", "5"])
+        assert rc == 2
+        assert "iterations=5 converged=False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,extra", [
+        ("solve-tv", ["--eps", "-1"]),
+        ("solve-tv", ["--eps", "0"]),
+        ("solve-tv", ["--max-iter", "0"]),
+        ("solve-tv", ["--lambda", "2.5"]),
+        ("solve-tv", ["explicit-sigmas"]),
+        ("sweep", ["--eps", "0"]),
+        ("sweep", ["--max-iter", "0"]),
+    ])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
+                                         extra):
+        out = str(tmp_path / "o")
+        if command == "sweep":
+            cfg = write_config(tmp_path, SWEEP_CONFIG, out=out)
+        elif extra == ["explicit-sigmas"]:
+            # tau * (sigma1 ||D1||^2 + sigma2 ||D2||^2 + sigma3) > 1
+            text = SOLVE_CONFIG.replace(
+                "gamma1 = 0.6\ngamma2 = 0.01",
+                "sigma1 = 0.5\nsigma2 = 0.5\nsigma3 = 0.5",
+            )
+            cfg = write_config(tmp_path, text, out=out)
+            extra = []
+        else:
+            cfg = write_config(tmp_path, SOLVE_CONFIG, out=out)
+        rc = main([command, "--config", cfg] + extra)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path, SOLVE_CONFIG, name="a.ini",

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pdsplit import (
-    FixedPointMap,
+    DisplacementMonitor,
+    FejerMonitor,
     RelaxationSchedule,
-    displacement_monitor,
-    fejer_monitor,
     hvector,
     km_iterate,
     residual_rel,
@@ -20,7 +19,7 @@ from conftest import identity_saddle, random_state
 def affine_map(mat, shift):
     def apply(z):
         return hvector(mat @ z.data + shift)
-    return FixedPointMap(apply=apply)
+    return apply
 
 
 class TestRelaxationSchedule:
@@ -51,7 +50,7 @@ class TestRelaxationSchedule:
         s = RelaxationSchedule.constant(2.0)
         z0 = hvector([1.0])
         with pytest.warns(UserWarning):
-            km_iterate(FixedPointMap(apply=lambda z: z), z0, s, 1e-8, 5)
+            km_iterate(lambda z: z, z0, s, 1e-8, 5)
 
 
 class TestResidualRel:
@@ -78,7 +77,7 @@ class TestResidualRel:
 class TestKMIterate:
     def test_constant_map_one_step(self):
         c = hvector([3.0, -1.0])
-        s = FixedPointMap(apply=lambda z: c)
+        s = lambda z: c
         res = km_iterate(s, hvector([1.0, 1.0]),
                          RelaxationSchedule.constant(1.0), 1e-12, 50)
         assert res.converged
@@ -86,7 +85,7 @@ class TestKMIterate:
         assert res.trace[1].residual == 0.0
 
     def test_geometric_decay(self):
-        s = FixedPointMap(apply=lambda z: 0.5 * z)
+        s = lambda z: 0.5 * z
         res = km_iterate(s, hvector([1.0]),
                          RelaxationSchedule.constant(1.0), 1e-30, 10)
         assert not res.converged
@@ -108,7 +107,7 @@ class TestKMIterate:
         np.testing.assert_allclose(res.state.data, fixed, atol=1e-8)
 
     def test_nonconvergence_flagged_not_raised(self):
-        s = FixedPointMap(apply=lambda z: 0.999 * z)
+        s = lambda z: 0.999 * z
         res = km_iterate(s, hvector([1.0]),
                          RelaxationSchedule.constant(1.0), 1e-12, 10)
         assert not res.converged
@@ -125,7 +124,7 @@ class TestKMIterate:
         prev = None
         sched = RelaxationSchedule.constant(1.0)
         for n in range(200):
-            z_next = s.apply(z)
+            z_next = s(z)
             step = (z_next - z).norm()
             if prev is not None:
                 assert step <= prev + 1e-12 * (1.0 + prev)
@@ -146,14 +145,23 @@ class TestKMIterate:
         assert [t.residual for t in r1.trace] \
             == [t.residual for t in r2.trace]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_zero_relaxation_never_converges(self):
+        # lambda = 0 leaves z unchanged: the step is zero, not converged
+        res = km_iterate(lambda z: 0.5 * z, hvector([2.0]),
+                         RelaxationSchedule.constant(0.0), 1e-8, 7)
+        assert not res.converged
+        assert res.iterations == 7
+        assert all(t.residual == 0.0 for t in res.trace)
+
     def test_rejects_bad_eps(self):
-        s = FixedPointMap(apply=lambda z: z)
+        s = lambda z: z
         with pytest.raises(ValueError):
             km_iterate(s, hvector([1.0]),
                        RelaxationSchedule.constant(1.0), -1.0, 5)
 
     def test_objective_recorded(self):
-        s = FixedPointMap(apply=lambda z: 0.5 * z)
+        s = lambda z: 0.5 * z
         res = km_iterate(
             s, hvector([2.0]), RelaxationSchedule.constant(1.0), 1e-30, 5,
             objective_fn=lambda z: float(z.data[0] ** 2),
@@ -169,12 +177,12 @@ class TestMonitors:
             if fixed is None:
                 return 0.5 * z
             return 0.5 * z + 0.5 * fixed
-        return FixedPointMap(apply=apply)
+        return apply
 
     def test_fejer_decreasing_for_contraction(self, rng):
         v_op = identity_saddle(3)
         anchor = 0.0 * random_state(rng, v_op.block_dims)
-        mon = fejer_monitor(v_op, anchor)
+        mon = FejerMonitor(v_op, anchor)
         z0 = random_state(rng, v_op.block_dims)
         km_iterate(self._contraction_state_map(v_op), z0,
                    RelaxationSchedule.constant(1.0), 1e-14, 60,
@@ -186,7 +194,7 @@ class TestMonitors:
     def test_fejer_anchor_at_current_iterate(self, rng):
         v_op = identity_saddle(2)
         z0 = random_state(rng, v_op.block_dims)
-        mon = fejer_monitor(v_op, z0)
+        mon = FejerMonitor(v_op, z0)
         assert seminorm(v_op, z0 - z0) == 0.0
         km_iterate(self._contraction_state_map(v_op), z0,
                    RelaxationSchedule.constant(1.0), 1e-14, 5,
@@ -198,7 +206,7 @@ class TestMonitors:
     def test_displacement_zero_at_fixed_start(self, rng):
         v_op = identity_saddle(2)
         z0 = 0.0 * random_state(rng, v_op.block_dims)
-        mon = displacement_monitor(v_op)
+        mon = DisplacementMonitor(v_op)
         km_iterate(self._contraction_state_map(v_op), z0,
                    RelaxationSchedule.constant(1.0), 1e-14, 3,
                    monitors=(mon,))
@@ -206,7 +214,7 @@ class TestMonitors:
 
     def test_displacement_ratio_small_after_convergence(self, rng):
         v_op = identity_saddle(4)
-        mon = displacement_monitor(v_op)
+        mon = DisplacementMonitor(v_op)
         z0 = random_state(rng, v_op.block_dims)
         fixed = random_state(rng, v_op.block_dims)
         res = km_iterate(self._contraction_state_map(v_op, fixed), z0,
@@ -217,7 +225,7 @@ class TestMonitors:
 
     def test_displacement_recorded_in_trace(self, rng):
         v_op = identity_saddle(2)
-        mon = displacement_monitor(v_op)
+        mon = DisplacementMonitor(v_op)
         z0 = random_state(rng, v_op.block_dims)
         res = km_iterate(self._contraction_state_map(v_op), z0,
                          RelaxationSchedule.constant(1.0), 1e-14, 4,

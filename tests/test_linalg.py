@@ -8,15 +8,17 @@ from pdsplit import (
     PDState,
     PowerIterationError,
     SaddleOperator,
+    UnsupportedPreconditionerError,
+    box_operator,
     cocoercivity_constant,
     dense_range_diagnostics,
     diagonal_precond,
     hvector,
     identity_op,
+    l1_operator,
     matrix_op,
     matrix_precond,
     power_iteration_sqnorm,
-    saddle_apply,
     scalar_precond,
     scaled_identity_op,
     seminorm,
@@ -69,6 +71,35 @@ class TestPrecond:
             p.apply_sqrt(p.apply_sqrt(v)), p.apply(v), rtol=1e-12
         )
 
+    @pytest.mark.parametrize("make", [
+        lambda c, n: scalar_precond(c, n),
+        lambda c, n: diagonal_precond(np.full(n, c)),
+        lambda c, n: matrix_precond(c * np.eye(n)),
+    ], ids=["scalar", "diagonal", "dense"])
+    def test_forms_of_a_scalar_agree(self, make, rng):
+        # c, as a scalar, a constant diagonal or c*I, is one operator
+        def same(a, b):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
+
+        n, m = 6, 4
+        p, ref = make(2.5, n), scalar_precond(2.5, n)
+        v = rng.standard_normal(n)
+        same(p.apply(v), ref.apply(v))
+        same(p.inverse().apply(v), ref.inverse().apply(v))
+        same(p.as_matrix(), ref.as_matrix())
+        assert p.strong_monotonicity_constant == pytest.approx(2.5)
+        coupling = (matrix_op(rng.standard_normal((m, n))),)
+        same(SaddleOperator(p, (make(0.7, m),), coupling).as_matrix(),
+             SaddleOperator(ref, (scalar_precond(0.7, m),),
+                            coupling).as_matrix())
+        x = hvector(rng.uniform(-3.0, 3.0, n))
+        for op in (l1_operator(0.8), box_operator(-1.0, 1.0)):
+            if p.diag is None:
+                with pytest.raises(UnsupportedPreconditionerError):
+                    op.resolvent(p, x)
+            else:
+                same(op.resolvent(p, x).data, op.resolvent(ref, x).data)
+
     def test_self_adjoint_and_strongly_monotone(self, rng):
         m = np.diag([1.0, 2.0, 3.0]) + 0.2
         p = matrix_precond(m)
@@ -97,6 +128,15 @@ class TestLinOpAdjoints:
         d1, d2 = build_gradient_ops(9, 7)
         assert adjoint_gap(d1, rng, trials=100) <= 1e-10
         assert adjoint_gap(d2, rng, trials=100) <= 1e-10
+
+    @pytest.mark.parametrize("n2", range(2, 10))
+    def test_gradient_adjoints_are_transposes_on_small_grids(self, n2):
+        for n1 in range(2, 10):
+            for op in build_gradient_ops(n1, n2):
+                adj = np.column_stack(
+                    [op.adjoint(e) for e in np.eye(op.cod_dim)]
+                )
+                np.testing.assert_array_equal(adj, op.as_matrix().T)
 
 
 class TestPowerIteration:
@@ -143,14 +183,14 @@ class TestSaddleOperator:
         v_op = identity_saddle(4)
         v = hvector(rng.standard_normal(4))
         z = PDState(v, (v,))
-        out = saddle_apply(v_op, z)
+        out = v_op.apply(z)
         assert out.x.norm() == pytest.approx(0.0, abs=1e-15)
         assert out.duals[0].norm() == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_evaluation(self):
         v_op = identity_saddle(1)
         z = PDState(hvector([1.0]), (hvector([0.0]),))
-        out = saddle_apply(v_op, z)
+        out = v_op.apply(z)
         assert out.x.data[0] == 1.0
         assert out.duals[0].data[0] == -1.0
 
@@ -159,8 +199,8 @@ class TestSaddleOperator:
         for _ in range(50):
             z = random_state(rng, v_op.block_dims)
             w = random_state(rng, v_op.block_dims)
-            lhs = saddle_apply(v_op, z).dot(w)
-            rhs = z.dot(saddle_apply(v_op, w))
+            lhs = v_op.apply(z).dot(w)
+            rhs = z.dot(v_op.apply(w))
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
     def test_monotone_under_condition(self, rng):
@@ -174,7 +214,7 @@ class TestSaddleOperator:
         v_op = identity_saddle(3)
         z = random_state(rng, (3, 4))
         with pytest.raises(ValueError):
-            saddle_apply(v_op, z)
+            v_op.apply(z)
 
 
 class TestSeminorm:
@@ -241,7 +281,7 @@ class TestCocoercivity:
         beta = cocoercivity_constant(tau, sig)
         for _ in range(1000):
             z = random_state(rng, v_op.block_dims)
-            vz = saddle_apply(v_op, z)
+            vz = v_op.apply(z)
             assert z.dot(vz) >= beta * vz.dot(vz) - 1e-9
 
 
@@ -280,7 +320,7 @@ class TestDenseRangeDiagnostics:
                                    atol=1e-12)
         # projection of V z equals V z (it already lies in the range)
         z = random_state(rng, v_op.block_dims)
-        vz = v_op.flatten(saddle_apply(v_op, z))
+        vz = v_op.flatten(v_op.apply(z))
         np.testing.assert_allclose(diag.project_range(vz), vz, atol=1e-10)
 
 

@@ -17,8 +17,6 @@ from pdsplit import (
     moreau_inverse_resolvent,
     project_box,
     prox_l1,
-    resolvent_generic,
-    resolvent_quadratic,
     scalar_precond,
     zero_operator,
 )
@@ -97,12 +95,12 @@ class TestProjectBox:
 class TestResolventQuadratic:
     def test_identity_zero_data(self):
         q = QuadraticDataFit(identity_op(1), hvector([0.0]))
-        assert resolvent_quadratic(q, 1.0, hvector([2.0])).data[0] \
+        assert q.resolvent(1.0, hvector([2.0])).data[0] \
             == pytest.approx(1.0)
 
     def test_identity_with_data(self):
         q = QuadraticDataFit(identity_op(1), hvector([4.0]))
-        got = resolvent_quadratic(q, 1.0, hvector([0.0])).data[0]
+        got = q.resolvent(1.0, hvector([0.0])).data[0]
         assert got == pytest.approx(2.0)
         # grid oracle on the objective 0.5*(y-4)^2 + 0.5*(y-0)^2
         grid = np.arange(-10, 10, 1e-4)
@@ -116,7 +114,7 @@ class TestResolventQuadratic:
             x = rng.standard_normal(4)
             tau = float(rng.uniform(0.1, 3.0))
             q = QuadraticDataFit(matrix_op(mat), hvector(b))
-            got = resolvent_quadratic(q, tau, hvector(x)).data
+            got = q.resolvent(tau, hvector(x)).data
             want = np.linalg.solve(
                 np.eye(4) + tau * mat.T @ mat, x + tau * mat.T @ b
             )
@@ -128,7 +126,7 @@ class TestResolventQuadratic:
         x = rng.standard_normal(6)
         q = QuadraticDataFit(matrix_op(mat), hvector(b))
         tau = 0.7
-        y = resolvent_quadratic(q, tau, hvector(x)).data
+        y = q.resolvent(tau, hvector(x)).data
         rhs = x + tau * mat.T @ b
         lhs = y + tau * mat.T @ (mat @ y)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -139,7 +137,7 @@ class TestResolventQuadratic:
         b = rng.standard_normal(n1 * n2)
         x = rng.standard_normal(n1 * n2)
         q = QuadraticDataFit(blur, hvector(b))
-        got = resolvent_quadratic(q, 0.4, hvector(x)).data
+        got = q.resolvent(0.4, hvector(x)).data
         mat = blur.as_matrix()
         want = np.linalg.solve(
             np.eye(n1 * n2) + 0.4 * mat.T @ mat, x + 0.4 * mat.T @ b
@@ -149,7 +147,7 @@ class TestResolventQuadratic:
     def test_rejects_nonpositive_tau(self):
         q = QuadraticDataFit(identity_op(2), hvector([0.0, 0.0]))
         with pytest.raises(ValueError):
-            resolvent_quadratic(q, 0.0, hvector([1.0, 1.0]))
+            q.resolvent(0.0, hvector([1.0, 1.0]))
 
 
 class TestMoreauInverseResolvent:
@@ -198,21 +196,21 @@ class TestMoreauInverseResolvent:
 class TestResolventGeneric:
     def test_zero_operator_is_identity(self, rng):
         x = hvector(rng.standard_normal(5))
-        out = resolvent_generic(zero_operator(), scalar_precond(2.0, 5), x)
+        out = zero_operator().resolvent(scalar_precond(2.0, 5), x)
         np.testing.assert_allclose(out.data, x.data)
 
     def test_identity_monotone_map(self):
         op = affine_operator(1.0, 0.0)
         tau = 3.0
         x = hvector([2.0])
-        got = resolvent_generic(op, scalar_precond(tau, 1), x)
+        got = op.resolvent(scalar_precond(tau, 1), x)
         assert got.data[0] == pytest.approx(2.0 / (1.0 + tau))
 
     def test_l1_matches_grid_oracle(self, rng):
         alpha, tau = 0.8, 0.5
         x = rng.uniform(-4, 4, size=12)
-        got = resolvent_generic(
-            l1_operator(alpha), scalar_precond(tau, 12), hvector(x)
+        got = l1_operator(alpha).resolvent(
+            scalar_precond(tau, 12), hvector(x)
         ).data
         want = prox_grid_oracle(x, alpha * tau)
         np.testing.assert_allclose(got, want, atol=2e-4)
@@ -220,7 +218,7 @@ class TestResolventGeneric:
     def test_unsupported_preconditioner(self):
         p = matrix_precond(np.diag([1.0, 2.0]) + 0.1)
         with pytest.raises(UnsupportedPreconditionerError):
-            resolvent_generic(l1_operator(1.0), p, hvector([1.0, 2.0]))
+            l1_operator(1.0).resolvent(p, hvector([1.0, 2.0]))
 
     def test_affine_solves_inclusion(self, rng):
         # J_{tau A} x satisfies p + tau (p + c) = x for A: y -> y + c
@@ -228,7 +226,7 @@ class TestResolventGeneric:
         op = affine_operator(1.0, c)
         tau = 1.3
         x = hvector(rng.standard_normal(4))
-        p = resolvent_generic(op, scalar_precond(tau, 4), x).data
+        p = op.resolvent(scalar_precond(tau, 4), x).data
         np.testing.assert_allclose(p + tau * (p + c), x.data, atol=1e-12)
 
 
