@@ -14,6 +14,7 @@ from .linalg import (
     RangeDiagnostics,
     SaddleOperator,
     PowerIterationError,
+    as_flat,
     cocoercivity_constant,
     dense_range_diagnostics,
     diagonal_precond,

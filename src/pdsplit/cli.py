@@ -5,7 +5,8 @@ output), ``sweep`` (step-size/relaxation study to CSV), ``drs-check``
 (sequence-equivalence suite) and ``diagnose`` (step-size condition and
 small-scale metric diagnostics).
 
-Exit codes: 0 success, 1 configuration error, 2 non-convergence.
+Exit codes: 0 success, 1 configuration error, 2 non-convergence
+(including a run stopped by a non-finite iterate).
 Configs are flat INI key/value files with sections; unknown keys are
 rejected so sweeps stay diffable and reproducible.
 """
@@ -128,17 +129,27 @@ def write_sweep_csv(path, rows) -> None:
                 repr(row["sigma3"]), repr(row["lambda"]), row["seed"],
                 row["iterations"], str(bool(row["converged"])).lower(),
                 repr(row["final_residual"]), repr(row["objective"]),
-                repr(row["psnr"]), repr(row["wall_ms"]),
+                repr(row["psnr"]), repr(row["wall_ms"]), row["error"],
             ])
 
 
 def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     """Build (cfg, observed, R, clean_or_None) from a config file."""
     img = cp["image"] if cp.has_section("image") else {}
-    n1 = int(img.get("n1", 64))
-    n2 = int(img.get("n2", 64))
     peak = float(img.get("peak", 255.0))
     source = img.get("source", "synthetic")
+    if source == "synthetic":
+        n1 = int(img.get("n1", 64))
+        n2 = int(img.get("n2", 64))
+    else:
+        pixels, maxval = read_pgm(source)
+        n1, n2 = pixels.shape
+        for key, n in (("n1", n1), ("n2", n2)):
+            if key in img and int(img[key]) != n:
+                raise ConfigError(
+                    f"{key} = {img[key]} contradicts the {n1}x{n2} "
+                    f"image {source!r}"
+                )
 
     blur = cp["blur"] if cp.has_section("blur") else {}
     size = int(blur.get("size", 9))
@@ -194,18 +205,16 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
         seed=seed, blur_size=size, blur_std=std, noise_std_rel=std_rel,
     )
 
+    R = build_gaussian_blur(n1, n2, size, std)
     if source == "synthetic":
         clean = synthetic_image(n1, n2, peak)
-        R = build_gaussian_blur(n1, n2, size, std)
         blurred = ImageGrid(
             R.forward(clean.pixels.ravel()).reshape(clean.shape), peak
         )
         observed = add_gaussian_noise(blurred, std_rel, seed)
     else:
-        pixels, maxval = read_pgm(source)
         observed = ImageGrid(pixels, float(maxval))
         clean = None
-        R = build_gaussian_blur(*observed.shape, size, std)
     check_config(cfg, observed.shape)
     return cfg, observed, R, clean
 
@@ -243,7 +252,8 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
     print(
         f"iterations={run.iterations} converged={run.converged} "
         f"residual={run.result.final_residual:.3e} "
-        f"objective={obj:.6f} psnr={quality:.4f}"
+        f"objective={obj:.6f} psnr={quality:.4f} "
+        f"stop={run.result.stop_reason}"
     )
     return EXIT_OK if run.converged else EXIT_NOCONV
 
@@ -256,10 +266,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             tau_values=_floats(sw.get("tau_values", "0.2")),
             gamma1_values=_floats(sw.get("gamma1_values", "0.5 0.6 0.65")),
             gamma2_values=_floats(sw.get("gamma2_values", "0.001 0.005 0.01")),
-            lambda_values=_floats(sw.get("lambda_values", "1.0 1.5 1.9")),
+            lambda_values=(
+                (args.relaxation,) if args.relaxation is not None
+                else _floats(sw.get("lambda_values", "1.0 1.5 1.9"))
+            ),
             include_equal_sigma=sw.getboolean("include_equal_sigma", True),
         )
-        seeds = _ints(sw.get("seeds", "0"))
+        seeds = ((args.seed,) if args.seed is not None
+                 else _ints(sw.get("seeds", "0")))
         img = cp["image"] if cp.has_section("image") else {}
         blur = cp["blur"] if cp.has_section("blur") else {}
         noise = cp["noise"] if cp.has_section("noise") else {}

@@ -8,6 +8,7 @@ transport between fixed points of the two formulations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,12 +44,14 @@ class DRSProblem:
         return self.upsilon.dim
 
 
-def drs_operator(p: DRSProblem, z: HVector) -> HVector:
-    """Reflected-resolvent composition J_B(2 J_A z - z) + z - J_A z."""
+def drs_operator(p: DRSProblem, z):
+    """Reflected-resolvent composition J_B(2 J_A z - z) + z - J_A z on a
+    flat array (or an HVector, which gives an HVector back)."""
+    if isinstance(z, HVector):
+        return z.with_flat(drs_operator(p, z.data))
     ja = p.A.resolvent(p.upsilon, z)
-    refl = HVector(2.0 * ja.data - z.data, z.dims)
-    jb = p.B.resolvent(p.upsilon, refl)
-    return HVector(jb.data + z.data - ja.data, z.dims)
+    jb = p.B.resolvent(p.upsilon, 2.0 * ja - z)
+    return jb + z - ja
 
 
 def drs_iterate(
@@ -76,17 +79,19 @@ def as_pd_problem(p: DRSProblem) -> PDProblem:
 
 @dataclass
 class PDDRSResult(KMResult):
-    """Primal-dual run plus its auxiliary sequence z_n = x_n - Y u_n."""
+    """Primal-dual run plus its auxiliary sequence z_n = x_n - Y u_n,
+    one flat array per iterate z_0, z_1, ..."""
 
-    z_sequence: list[HVector] = field(default_factory=list)
+    z_sequence: list[np.ndarray] = field(default_factory=list)
 
 
 class _Collector(Monitor):
-    """Records f(z_0), f(z_1), ... along a run."""
+    """Records f(z_0), f(z_1), ... along a run; ``f`` must return a
+    fresh array, since the monitored states are reused buffers."""
 
-    def __init__(self, f: Callable):
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray]):
         self.f = f
-        self.values: list = []
+        self.values: list[np.ndarray] = []
 
     def start(self, z0) -> None:
         self.values.append(self.f(z0))
@@ -95,11 +100,10 @@ class _Collector(Monitor):
         self.values.append(self.f(z_next))
 
 
-def _aux_point(p: DRSProblem, state: PDState) -> HVector:
-    """z = x - Y u for a primal-dual state (x, (u,))."""
-    return HVector(
-        state.x.data - p.upsilon.apply(state.duals[0].data), state.x.dims
-    )
+def _aux_point(p: DRSProblem, state: np.ndarray) -> np.ndarray:
+    """z = x - Y u for a flat primal-dual state (x, u)."""
+    n = p.dim
+    return state[:n] - p.upsilon.apply(state[n:])
 
 
 def pd_drs_iterate(
@@ -142,12 +146,13 @@ def fixed_point_transport(
     inverse map x - Y u recovers z exactly, and one application of the
     primal-dual resolvent to the result yields a zero of the inclusion.
     """
-    drift = (drs_operator(p, z_hat) - z_hat).norm()
+    z = z_hat.data
+    drift = float(np.linalg.norm(drs_operator(p, z) - z))
     if drift > tol * (1.0 + z_hat.norm()):
         raise ValueError(
             f"z_hat is not a fixed point to tolerance ({drift:.3e})"
         )
-    w = _solve_id_plus_sq(p.upsilon, z_hat.data)
+    w = _solve_id_plus_sq(p.upsilon, z)
     return PDState(
         HVector(w, z_hat.dims),
         (HVector(-p.upsilon.apply(w), z_hat.dims),),
@@ -162,13 +167,14 @@ def equivalence_deviation(
     iters: int,
 ) -> float:
     """Max componentwise gap between the primal-dual auxiliary sequence
-    and the classic relaxed iteration over a fixed number of steps."""
+    and the classic relaxed iteration over a fixed number of steps
+    (+inf when one run ends early on a non-finite step)."""
     pd_run = pd_drs_iterate(p, x0, u0, sched, eps=None, max_iter=iters)
-    z0 = _aux_point(p, PDState(x0, (u0,)))
-    coll = _Collector(lambda z: z)
+    z0 = _aux_point(p, np.concatenate((x0.data, u0.data)))
+    coll = _Collector(np.copy)
     km_iterate(lambda z: drs_operator(p, z), z0, sched, eps=None,
                max_iter=iters, monitors=(coll,))
-    dev = 0.0
-    for za, zb in zip(pd_run.z_sequence, coll.values):
-        dev = max(dev, float(np.max(np.abs(za.data - zb.data))))
-    return dev
+    if len(coll.values) != len(pd_run.z_sequence):
+        return math.inf
+    return max(float(np.max(np.abs(za - zb)))
+               for za, zb in zip(pd_run.z_sequence, coll.values))

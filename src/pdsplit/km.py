@@ -1,9 +1,9 @@
 """Generic relaxed fixed-point iteration with stopping and diagnostics.
 
-Runs z_{n+1} = (1 - lambda_n) z_n + lambda_n S z_n for any state type
-supporting +, -, scalar * and .norm() (plain vectors and primal-dual
-states alike).  Non-convergence is reported as data, not raised, so
-parameter sweeps can record failures.
+Runs z_{n+1} = z_n + lambda_n (S z_n - z_n) on one flat float64 state
+(an HVector or PDState start is flattened once and the result wrapped
+back once).  Non-convergence and non-finite steps are reported as data,
+not raised, so parameter sweeps can record failures.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .linalg import SaddleOperator, seminorm
+import numpy as np
+
+from .linalg import HVector, PDState, SaddleOperator, as_flat, seminorm
 
 __all__ = [
     "RelaxationSchedule",
@@ -88,10 +90,22 @@ class IterTrace:
 
 @dataclass
 class KMResult:
+    """Final state (the type of the start point), per-iteration trace
+    and why the run stopped: ``"eps"`` (the residual met eps),
+    ``"max_iter"`` or ``"nonfinite"`` (a step produced a non-finite
+    residual; ``state`` is the last finite iterate)."""
+
     state: Any
     trace: list[IterTrace] = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
+    stop_reason: str = "max_iter"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "eps"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def final_residual(self) -> float:
@@ -99,19 +113,25 @@ class KMResult:
 
 
 def residual_rel(z_next, z) -> float:
-    """Relative step size sqrt(||z_next - z||^2 / ||z||^2).
+    """Relative step size sqrt(||z_next - z||^2 / ||z||^2) for arrays,
+    HVectors or PDStates.
 
     Returns +inf when ||z|| = 0 (sentinel for an uninformative base
     point).
     """
-    nz = z.norm()
+    z = as_flat(z)
+    nz = float(np.linalg.norm(z))
     if nz == 0.0:
         return math.inf
-    return (z_next - z).norm() / nz
+    return float(np.linalg.norm(as_flat(z_next) - z)) / nz
 
 
 class Monitor:
-    """Per-iteration observer; subclasses record convergence diagnostics."""
+    """Per-iteration observer; subclasses record convergence diagnostics.
+
+    ``start`` and ``observe`` receive flat float64 states.  The arrays
+    are reused by the iteration: copy what must outlive the call.
+    """
 
     def start(self, z0) -> None:
         pass
@@ -131,7 +151,7 @@ class FejerMonitor(Monitor):
 
     def __init__(self, v_op: SaddleOperator, anchor):
         self.v_op = v_op
-        self.anchor = anchor
+        self.anchor = as_flat(anchor)
         self.values: list[float] = []
 
     def start(self, z0) -> None:
@@ -176,25 +196,35 @@ class DisplacementMonitor(Monitor):
         return self.final / self.initial if self.initial != 0.0 else 0.0
 
 
+def _norm(v: np.ndarray) -> float:
+    # einsum, not a BLAS dot: OpenBLAS threads dots of more than 10000
+    # entries, which stalls when sweep workers already occupy every core
+    return math.sqrt(float(np.einsum("i,i->", v, v)))
+
+
 def km_iterate(
-    s_map: Callable[[Any], Any],
+    s_map: Callable[[np.ndarray], np.ndarray],
     z0,
     sched: RelaxationSchedule,
     eps: float | None,
     max_iter: int,
     monitors: Sequence[Monitor] = (),
-    objective_fn: Callable[[Any], float] | None = None,
+    objective_fn: Callable[[np.ndarray], float] | None = None,
     divergence_floor: float = 1.0,
 ) -> KMResult:
-    """Relaxed fixed-point iteration until residual_rel < eps.
+    """Relaxed fixed-point iteration until the relative step
+    lambda_n ||S z_n - z_n|| / ||z_n|| drops below eps.
 
-    ``s_map`` is the self-map S of the iteration space.  A step with
-    lambda_n = 0 never meets ``eps``: its relaxed step is zero whatever
-    S z_n - z_n is.  ``eps=None`` disables the stopping rule and runs
-    exactly ``max_iter`` steps (used by sequence-equivalence checks).
-    If the iteration stops at ``max_iter`` without meeting ``eps`` the
-    result is flagged non-converged rather than raising.
-    Bit-deterministic for identical inputs and schedule.
+    ``s_map`` is the self-map S on flat float64 arrays; ``z0`` is an
+    HVector, a PDState or a 1-D array, and the result's ``state`` has
+    the same form.  Monitors and ``objective_fn`` see flat arrays.  A
+    step with lambda_n = 0 never meets ``eps``: its relaxed step is zero
+    whatever S z_n - z_n is.  ``eps=None`` disables the stopping rule
+    and runs exactly ``max_iter`` steps (used by sequence-equivalence
+    checks).  Stopping at ``max_iter`` without meeting ``eps`` is
+    reported, not raised; so is a non-finite S z_n - z_n, which ends
+    the run at the last finite iterate.  Bit-deterministic for
+    identical inputs and schedule.
     """
     if eps is not None and eps <= 0:
         raise ValueError("eps must be positive (or None for fixed-count runs)")
@@ -210,24 +240,35 @@ def km_iterate(
     disp_mon = next(
         (m for m in monitors if isinstance(m, DisplacementMonitor)), None
     )
+    z = np.array(as_flat(z0), dtype=np.float64)
+    z_next = np.empty_like(z)
     for m in monitors:
-        m.start(z0)
-    z = z0
+        m.start(z)
     trace: list[IterTrace] = []
-    converged = False
+    stop = "max_iter"
+    nz = _norm(z)
     for n in range(max_iter):
         sz = s_map(z)
         lam = sched.lambda_at(n)
-        z_next = (1.0 - lam) * z + lam * sz
-        r = residual_rel(z_next, z)
+        # z_next holds S z - z until it is relaxed in place
+        np.subtract(sz, z, out=z_next)
+        step = _norm(z_next)
+        if not math.isfinite(step):
+            trace.append(IterTrace(n, math.nan))
+            stop = "nonfinite"
+            break
+        r = lam * step / nz if nz != 0.0 else math.inf
+        z_next *= lam
+        z_next += z
         for m in monitors:
             m.observe(n, z, sz, z_next)
         obj = objective_fn(z_next) if objective_fn is not None else None
         disp = disp_mon.last_value if disp_mon is not None else None
         trace.append(IterTrace(n, r, obj, disp))
-        z = z_next
+        z, z_next = z_next, z
+        nz = _norm(z)
         if eps is not None and lam > 0.0 and r < eps:
-            converged = True
+            stop = "eps"
             break
-    return KMResult(state=z, trace=trace, converged=converged,
-                    iterations=len(trace))
+    state = z0.with_flat(z) if isinstance(z0, (HVector, PDState)) else z
+    return KMResult(state=state, trace=trace, stop_reason=stop)

@@ -31,6 +31,7 @@ __all__ = [
     "RangeDiagnostics",
     "PowerIterationError",
     "hvector",
+    "as_flat",
     "identity_op",
     "scaled_identity_op",
     "matrix_op",
@@ -126,6 +127,14 @@ class HVector:
     def __neg__(self) -> "HVector":
         return HVector(-self.data, self.dims)
 
+    def flat(self) -> np.ndarray:
+        """Writable float64 copy of the entries."""
+        return self.data.copy()
+
+    def with_flat(self, arr: np.ndarray) -> "HVector":
+        """An HVector with this one's dims holding ``arr``."""
+        return HVector(arr, self.dims)
+
 
 def hvector(values, dims: tuple[int, ...] | None = None) -> HVector:
     """Build an HVector from any array-like, defaulting to a flat shape."""
@@ -177,15 +186,41 @@ class PDState:
 
     __rmul__ = __mul__
 
+    def flat(self) -> np.ndarray:
+        """One contiguous float64 array: x, then each dual block."""
+        return np.concatenate([self.x.data] + [u.data for u in self.duals])
+
+    def with_flat(self, arr: np.ndarray) -> "PDState":
+        """A PDState with this one's block layout and dims holding the
+        flat array ``arr``."""
+        arr = np.asarray(arr, dtype=np.float64).ravel()
+        if arr.size != sum(self.block_dims):
+            raise ValueError("flat vector has wrong total dimension")
+        offs = np.cumsum((0,) + self.block_dims)
+        parts = [arr[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)]
+        return PDState(
+            HVector(parts[0], self.x.dims),
+            tuple(HVector(p, u.dims) for p, u in zip(parts[1:], self.duals)),
+        )
+
+
+def as_flat(z) -> np.ndarray:
+    """The flat float64 entries of an HVector, a PDState or an array
+    (arrays are returned as they are, when already float64)."""
+    if isinstance(z, (HVector, PDState)):
+        return z.flat()
+    return np.asarray(z, dtype=np.float64).ravel()
+
 
 @dataclass(frozen=True)
 class LinOp:
     """Linear map between flat float64 arrays, with adjoint.
 
     ``forward`` and ``adjoint`` act on 1-D arrays of length ``dom_dim``
-    and ``cod_dim``.  ``fft_symbol`` is set for periodic convolutions
-    (the transfer function on ``grid_shape``), which lets downstream
-    solvers diagonalize normal equations with the FFT.
+    and ``cod_dim``.  ``fft_symbol`` is set for real periodic
+    convolutions: the transfer function on ``grid_shape`` in the
+    half-spectrum layout of ``np.fft.rfft2``, which lets downstream
+    solvers diagonalize normal equations with the real FFT.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
@@ -360,45 +395,50 @@ class SaddleOperator:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
+    def apply_flat(self, v: np.ndarray) -> np.ndarray:
+        """The operator on a flat state (x, then each dual block)."""
+        if v.size != self.total_dim:
+            raise ValueError(
+                f"state dim {v.size} does not match operator "
+                f"dim {self.total_dim}"
+            )
+        n = self.upsilon.dim
+        x = v[:n]
+        out = np.empty_like(v)
+        acc = np.zeros_like(x)
+        off = n
+        for s, l in zip(self.sigma_blocks, self.l_blocks):
+            u = v[off:off + s.dim]
+            acc += l.adjoint(u)
+            out[off:off + s.dim] = s.apply_inverse(u) - l.forward(x)
+            off += s.dim
+        out[:n] = self.upsilon.apply_inverse(x) - acc
+        return out
+
     def apply(self, z: PDState) -> PDState:
         if z.block_dims != self.block_dims:
             raise ValueError(
                 f"state dims {z.block_dims} do not match operator "
                 f"dims {self.block_dims}"
             )
-        x = z.x.data
-        acc = np.zeros_like(x)
-        for l, u in zip(self.l_blocks, z.duals):
-            acc += l.adjoint(u.data)
-        top = self.upsilon.apply_inverse(x) - acc
-        duals = tuple(
-            HVector(s.apply_inverse(u.data) - l.forward(x), u.dims)
-            for s, l, u in zip(self.sigma_blocks, self.l_blocks, z.duals)
-        )
-        return PDState(HVector(top, z.x.dims), duals)
+        return z.with_flat(self.apply_flat(z.flat()))
 
-    def quad_form(self, z: PDState) -> float:
-        return z.dot(self.apply(z))
+    def quad_form(self, z) -> float:
+        """<V z, z> for a PDState or a flat state."""
+        v = as_flat(z)
+        return float(v @ self.apply_flat(v))
 
     def flatten(self, z: PDState) -> np.ndarray:
-        return np.concatenate([z.x.data] + [u.data for u in z.duals])
+        return z.flat()
 
     def unflatten(self, arr: np.ndarray, template: PDState | None = None) -> PDState:
-        arr = np.asarray(arr, dtype=np.float64).ravel()
-        if arr.size != self.total_dim:
-            raise ValueError("flat vector has wrong total dimension")
-        dims = self.block_dims
-        offs = np.cumsum((0,) + dims)
-        parts = [arr[offs[i]:offs[i + 1]] for i in range(len(dims))]
-        if template is not None:
-            return PDState(
-                HVector(parts[0], template.x.dims),
-                tuple(HVector(p, u.dims) for p, u in zip(parts[1:], template.duals)),
+        if template is None:
+            dims = self.block_dims
+            template = PDState(
+                HVector(np.zeros(dims[0]), (dims[0],)),
+                tuple(HVector(np.zeros(d), (d,)) for d in dims[1:]),
             )
-        return PDState(
-            HVector(parts[0], (dims[0],)),
-            tuple(HVector(p, (d,)) for p, d in zip(parts[1:], dims[1:])),
-        )
+        return template.with_flat(arr)
 
     def as_matrix(self) -> np.ndarray:
         n = self.upsilon.dim
@@ -420,15 +460,17 @@ class SaddleOperator:
         return mat
 
 
-def seminorm(v_op: SaddleOperator, z: PDState) -> float:
+def seminorm(v_op: SaddleOperator, z) -> float:
     """Seminorm induced by the saddle operator's quadratic form.
 
-    Returns sqrt(max(<Vz, z>, 0)).  Raises if the quadratic form is
-    significantly negative relative to ||z||^2, which indicates the
-    step-size condition is violated and the operator is not monotone.
+    Returns sqrt(max(<Vz, z>, 0)) for a PDState or a flat state.
+    Raises if the quadratic form is significantly negative relative to
+    ||z||^2, which indicates the step-size condition is violated and the
+    operator is not monotone.
     """
-    quad = v_op.quad_form(z)
-    nsq = z.dot(z)
+    v = as_flat(z)
+    quad = v_op.quad_form(v)
+    nsq = float(v @ v)
     if quad < -1e-10 * nsq:
         raise ValueError(
             f"quadratic form is negative ({quad:.3e} for ||z||^2={nsq:.3e}); "

@@ -4,6 +4,9 @@ Each operator family is exposed only through its resolvent at a given
 preconditioner; dual-block resolvents are derived from primal ones via
 the Moreau-type inversion identity, so soft thresholding, box
 projections and quadratic data-fit solves cover the whole experiment.
+Resolvents act on flat float64 arrays; a resolvent may return its
+input unchanged (the zero operator does), so callers must not write
+into the result in place.
 """
 
 from __future__ import annotations
@@ -54,16 +57,16 @@ class MonotoneOp:
     """Maximally monotone operator exposed through its resolvent.
 
     ``resolvent(precond, x)`` evaluates (Id + P A)^{-1} x for this
-    operator A and the preconditioner P; families raise
+    operator A, the preconditioner P and a flat array x; families raise
     UnsupportedPreconditionerError for preconditioners they do not
     support in closed form.
     """
 
-    resolvent: Callable[[Precond, HVector], HVector]
+    resolvent: Callable[[Precond, np.ndarray], np.ndarray]
     descriptor: str
 
 
-def prox_l1(x: HVector, kappa) -> HVector:
+def prox_l1(x: np.ndarray, kappa) -> np.ndarray:
     """Componentwise soft thresholding, the prox of kappa*||.||_1.
 
     ``kappa`` may be a scalar or a per-component array (the latter
@@ -72,25 +75,24 @@ def prox_l1(x: HVector, kappa) -> HVector:
     k = np.asarray(kappa, dtype=np.float64)
     if np.any(k < 0):
         raise ValueError("soft-threshold level must be nonnegative")
-    d = x.data
-    return HVector(np.sign(d) * np.maximum(np.abs(d) - k, 0.0), x.dims)
+    return np.sign(x) * np.maximum(np.abs(x) - k, 0.0)
 
 
-def project_box(x: HVector, lo: float, hi: float) -> HVector:
+def project_box(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Componentwise clamp to the interval [lo, hi]."""
     if lo > hi:
         raise ValueError(f"empty box: lo={lo} > hi={hi}")
-    return HVector(np.clip(x.data, lo, hi), x.dims)
+    return np.clip(x, lo, hi)
 
 
 class QuadraticDataFit:
     """Least-squares data-fit term 0.5*||R y - b||^2 via its resolvent.
 
     The resolvent at step tau solves (Id + tau R*R) y = x + tau R*b.
-    When R is a periodic convolution (``fft_symbol`` set on the
-    operator) the solve is diagonalized by the FFT; otherwise a dense
-    Cholesky factorization is cached per step size, limited to
-    moderate dimensions.
+    When R is a real periodic convolution (``fft_symbol`` set on the
+    operator) the solve is diagonalized by the real FFT, which stores
+    half the spectrum; otherwise a dense Cholesky factorization is
+    cached per step size, limited to moderate dimensions.
     """
 
     def __init__(self, R: LinOp, b: HVector):
@@ -110,18 +112,19 @@ class QuadraticDataFit:
         self._gram = None
         self._solver_cache: dict[float, object] = {}
 
-    def resolvent(self, tau: float, x: HVector) -> HVector:
+    def resolvent(self, tau: float, x: np.ndarray) -> np.ndarray:
         if tau <= 0:
             raise ValueError("step size must be positive")
-        rhs = x.data + tau * self.rtb
+        rhs = x + tau * self.rtb
         if self._fft:
             shape = self.R.grid_shape
             denom = self._solver_cache.get(tau)
             if denom is None:
                 denom = 1.0 + tau * self._sym_sq
                 self._solver_cache[tau] = denom
-            y = np.fft.ifft2(np.fft.fft2(rhs.reshape(shape)) / denom).real
-            return HVector(y.ravel(), x.dims)
+            spec = np.fft.rfft2(rhs.reshape(shape))
+            spec /= denom
+            return np.fft.irfft2(spec, s=shape).ravel()
         chol = self._solver_cache.get(tau)
         if chol is None:
             if self._gram is None:
@@ -131,15 +134,14 @@ class QuadraticDataFit:
                 np.eye(self.R.dom_dim) + tau * self._gram
             )
             self._solver_cache[tau] = chol
-        y = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-        return HVector(y, x.dims)
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
 def moreau_inverse_resolvent(
-    prox_g: Callable[[float, HVector], HVector],
+    prox_g: Callable[[float, np.ndarray], np.ndarray],
     sigma: float,
-    u: HVector,
-) -> HVector:
+    u: np.ndarray,
+) -> np.ndarray:
     """Resolvent of sigma*(dg)^{-1} given the prox family of g.
 
     ``prox_g(kappa, v)`` must evaluate the prox of kappa*g at v.  The
@@ -147,19 +149,27 @@ def moreau_inverse_resolvent(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    v = HVector(u.data / sigma, u.dims)
-    return HVector(sigma * (v.data - prox_g(1.0 / sigma, v).data), u.dims)
+    v = u / sigma
+    return sigma * (v - prox_g(1.0 / sigma, v))
 
 
-def dual_resolvent(op: MonotoneOp, sigma: Precond, u: HVector) -> HVector:
+def dual_resolvent(
+    op: MonotoneOp,
+    sigma: Precond,
+    u: np.ndarray,
+    sigma_inv: Precond | None = None,
+) -> np.ndarray:
     """Resolvent of Sigma B^{-1} derived from the primal resolvent of B.
 
     Uses q = u - Sigma J_{Sigma^{-1} B}(Sigma^{-1} u), the
-    preconditioned Moreau decomposition.
+    preconditioned Moreau decomposition.  ``sigma_inv`` is
+    ``sigma.inverse()``, built here when not given; iterations pass
+    one built once per problem.
     """
-    v = HVector(sigma.apply_inverse(u.data), u.dims)
-    w = op.resolvent(sigma.inverse(), v)
-    return HVector(u.data - sigma.apply(w.data), u.dims)
+    if sigma_inv is None:
+        sigma_inv = sigma.inverse()
+    w = op.resolvent(sigma_inv, sigma.apply_inverse(u))
+    return u - sigma.apply(w)
 
 
 def zero_operator() -> MonotoneOp:
@@ -177,15 +187,13 @@ def affine_operator(slope: float, intercept) -> MonotoneOp:
         raise ValueError("slope must be nonnegative for monotonicity")
     c = np.asarray(intercept, dtype=np.float64)
 
-    def res(p: Precond, x: HVector) -> HVector:
+    def res(p: Precond, x: np.ndarray) -> np.ndarray:
         if p.diag is not None:
             step = p.diag
-            return HVector((x.data - step * c) / (1.0 + step * slope), x.dims)
+            return (x - step * c) / (1.0 + step * slope)
         m = p.as_matrix()
-        rhs = x.data - m @ np.broadcast_to(c, (p.dim,))
-        return HVector(
-            np.linalg.solve(np.eye(p.dim) + slope * m, rhs), x.dims
-        )
+        rhs = x - m @ np.broadcast_to(c, (p.dim,))
+        return np.linalg.solve(np.eye(p.dim) + slope * m, rhs)
 
     return MonotoneOp(res, f"affine(slope={slope})")
 
@@ -199,10 +207,10 @@ def monotone_linear(mat: np.ndarray, offset=None) -> MonotoneOp:
         raise ValueError("matrix is not monotone (symmetric part indefinite)")
     c = None if offset is None else np.asarray(offset, dtype=np.float64).ravel()
 
-    def res(p: Precond, x: HVector) -> HVector:
+    def res(p: Precond, x: np.ndarray) -> np.ndarray:
         pm = p.as_matrix()
-        rhs = x.data if c is None else x.data - pm @ c
-        return HVector(np.linalg.solve(np.eye(p.dim) + pm @ m, rhs), x.dims)
+        rhs = x if c is None else x - pm @ c
+        return np.linalg.solve(np.eye(p.dim) + pm @ m, rhs)
 
     return MonotoneOp(res, "linear")
 
@@ -212,7 +220,7 @@ def l1_operator(alpha: float) -> MonotoneOp:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
 
-    def res(p: Precond, x: HVector) -> HVector:
+    def res(p: Precond, x: np.ndarray) -> np.ndarray:
         return prox_l1(x, alpha * _diagonal(p, "l1"))
 
     return MonotoneOp(res, f"l1(alpha={alpha})")
@@ -223,7 +231,7 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
     if lo > hi:
         raise ValueError("empty box")
 
-    def res(p: Precond, x: HVector) -> HVector:
+    def res(p: Precond, x: np.ndarray) -> np.ndarray:
         _diagonal(p, "box")
         return project_box(x, lo, hi)
 
@@ -233,7 +241,7 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
 def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:
     """Gradient of the quadratic data-fit term as a monotone operator."""
 
-    def res(p: Precond, x: HVector) -> HVector:
+    def res(p: Precond, x: np.ndarray) -> np.ndarray:
         tau = _diagonal(p, "quadratic data-fit")
         if isinstance(tau, np.ndarray):
             raise UnsupportedPreconditionerError(
@@ -242,4 +250,3 @@ def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:
         return q.resolvent(tau, x)
 
     return MonotoneOp(res, "quadratic-data-fit")
-

@@ -9,7 +9,7 @@ the saddle-seminorm residual.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .linalg import (
     PDState,
     Precond,
     SaddleOperator,
+    as_flat,
     power_iteration_sqnorm,
     seminorm,
 )
@@ -49,13 +50,19 @@ class PDProblem:
 
     Find (x, u) with 0 in A x + sum_i L_i^* u_i and 0 in B_i^{-1} u_i
     - L_i x for each block, given a primal preconditioner and one dual
-    preconditioner per block.
+    preconditioner per block.  The iteration state is one flat array:
+    x in ``[:dim]``, then u_i in ``dual_slices[i]``; ``sigma_invs``
+    holds each dual preconditioner's inverse, built once.
     """
 
     A: MonotoneOp
     blocks: tuple[tuple[MonotoneOp, LinOp], ...]
     upsilon: Precond
     sigmas: tuple[Precond, ...]
+    dual_slices: tuple[slice, ...] = field(init=False, repr=False,
+                                           compare=False)
+    sigma_invs: tuple[Precond, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -67,10 +74,21 @@ class PDProblem:
                 raise ValueError("coupling operator domain mismatch")
             if l.cod_dim != s.dim:
                 raise ValueError("coupling operator codomain mismatch")
+        slices, off = [], self.dim
+        for s in self.sigmas:
+            slices.append(slice(off, off + s.dim))
+            off += s.dim
+        object.__setattr__(self, "dual_slices", tuple(slices))
+        object.__setattr__(self, "sigma_invs",
+                           tuple(s.inverse() for s in self.sigmas))
 
     @property
     def dim(self) -> int:
         return self.upsilon.dim
+
+    @property
+    def total_dim(self) -> int:
+        return self.dual_slices[-1].stop if self.dual_slices else self.dim
 
     def saddle_operator(self) -> SaddleOperator:
         return SaddleOperator(
@@ -87,8 +105,9 @@ class PDProblem:
         return PDState(x, duals)
 
 
-def pd_resolvent(p: PDProblem, z: PDState) -> PDState:
-    """Joint primal-dual resolvent step.
+def pd_resolvent(p: PDProblem, z):
+    """Joint primal-dual resolvent step on a flat state (or a PDState,
+    which gives a PDState back).
 
     Computes the primal update once and reuses it across all dual
     blocks (Gauss-Seidel structure):
@@ -100,20 +119,28 @@ def pd_resolvent(p: PDProblem, z: PDState) -> PDState:
     z, so kernel components of critical configurations are ignored
     automatically.
     """
-    if len(z.duals) != len(p.blocks):
-        raise ValueError("state block count does not match problem")
-    x = z.x.data
+    if isinstance(z, PDState):
+        if len(z.duals) != len(p.blocks):
+            raise ValueError("state block count does not match problem")
+        return z.with_flat(pd_resolvent(p, z.flat()))
+    if z.size != p.total_dim:
+        raise ValueError(
+            f"state dim {z.size} does not match problem dim {p.total_dim}"
+        )
+    n = p.dim
+    x = z[:n]
     acc = np.zeros_like(x)
-    for (_, l), u in zip(p.blocks, z.duals):
-        acc += l.adjoint(u.data)
-    s_in = HVector(x - p.upsilon.apply(acc), z.x.dims)
-    p_new = p.A.resolvent(p.upsilon, s_in)
-    t = 2.0 * p_new.data - x
-    qs = []
-    for (b, l), sig, u in zip(p.blocks, p.sigmas, z.duals):
-        w = HVector(u.data + sig.apply(l.forward(t)), u.dims)
-        qs.append(dual_resolvent(b, sig, w))
-    return PDState(p_new, tuple(qs))
+    for (_, l), sl in zip(p.blocks, p.dual_slices):
+        acc += l.adjoint(z[sl])
+    out = np.empty_like(z)
+    p_new = out[:n]
+    p_new[:] = p.A.resolvent(p.upsilon, x - p.upsilon.apply(acc))
+    t = 2.0 * p_new - x
+    for (b, l), sig, sig_inv, sl in zip(p.blocks, p.sigmas, p.sigma_invs,
+                                        p.dual_slices):
+        out[sl] = dual_resolvent(b, sig, z[sl] + sig.apply(l.forward(t)),
+                                 sig_inv)
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,7 +193,8 @@ def pd_iterate(
     objective_fn=None,
     override: bool = False,
 ) -> KMResult:
-    """Relaxed primal-dual iteration.
+    """Relaxed primal-dual iteration from the state ``z0`` (a PDState,
+    or a flat array in ``p``'s layout).
 
     Checks the step-size condition first and refuses configurations
     whose estimate exceeds 1 + COND_TOL unless ``override`` is set (a
@@ -190,11 +218,11 @@ def pd_iterate(
     )
 
 
-def zero_inclusion_residual(p: PDProblem, z: PDState) -> float:
+def zero_inclusion_residual(p: PDProblem, z) -> float:
     """Saddle-seminorm distance between z and its resolvent image.
 
     Zero exactly when the shadow of z is fixed, in which case one more
     resolvent application yields a solution of the inclusion.
     """
-    v_op = p.saddle_operator()
-    return seminorm(v_op, pd_resolvent(p, z) - z)
+    v = as_flat(z)
+    return seminorm(p.saddle_operator(), pd_resolvent(p, v) - v)

@@ -175,10 +175,11 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
 def build_gaussian_blur(
     n1: int, n2: int, size: int = 9, std: float = 4.0
 ) -> LinOp:
-    """Periodic Gaussian blur, diagonalized by the FFT.
+    """Periodic Gaussian blur, diagonalized by the real FFT.
 
-    Self-adjoint by kernel symmetry; its transfer function is attached
-    to the operator so quadratic resolvents can reuse it.
+    Self-adjoint by kernel symmetry; its transfer function (half
+    spectrum, ``rfft2`` layout) is attached to the operator so
+    quadratic resolvents can reuse it.
     """
     kern = gaussian_kernel(size, std)
     if size > n1 or size > n2:
@@ -186,15 +187,17 @@ def build_gaussian_blur(
     pad = np.zeros((n1, n2))
     pad[:size, :size] = kern
     pad = np.roll(np.roll(pad, -(size // 2), axis=0), -(size // 2), axis=1)
-    symbol = np.fft.fft2(pad)
+    symbol = np.fft.rfft2(pad)
     sym_conj = np.conj(symbol)
     shape = (n1, n2)
 
     def fwd(v: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(symbol * np.fft.fft2(v.reshape(shape))).real.ravel()
+        return np.fft.irfft2(symbol * np.fft.rfft2(v.reshape(shape)),
+                             s=shape).ravel()
 
     def adj(v: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(sym_conj * np.fft.fft2(v.reshape(shape))).real.ravel()
+        return np.fft.irfft2(sym_conj * np.fft.rfft2(v.reshape(shape)),
+                             s=shape).ravel()
 
     n = n1 * n2
     return LinOp(fwd, adj, n, n, fft_symbol=symbol, grid_shape=shape)
@@ -216,13 +219,22 @@ def add_gaussian_noise(img: ImageGrid, std_rel: float, seed: int) -> ImageGrid:
 
 
 def tv_objective(
-    x: ImageGrid, R: LinOp, b: HVector, alpha: float
+    x: ImageGrid | np.ndarray,
+    R: LinOp,
+    b: HVector,
+    alpha: float,
+    grads: tuple[LinOp, LinOp] | None = None,
 ) -> float:
     """Data fit plus anisotropic total variation:
-    0.5*||R x - b||^2 + alpha * (||D1 x||_1 + ||D2 x||_1)."""
-    n1, n2 = x.shape
-    d1, d2 = build_gradient_ops(n1, n2)
-    xv = x.pixels.ravel()
+    0.5*||R x - b||^2 + alpha * (||D1 x||_1 + ||D2 x||_1).
+
+    ``x`` is an ImageGrid or its n1 x n2 pixel array.  ``grads`` is the
+    (D1, D2) pair of ``build_gradient_ops`` for that grid; it is built
+    here when omitted, so callers evaluating many iterates pass it.
+    """
+    pixels = x.pixels if isinstance(x, ImageGrid) else x
+    d1, d2 = grads if grads is not None else build_gradient_ops(*pixels.shape)
+    xv = pixels.ravel()
     resid = R.forward(xv) - b.data
     tv = np.abs(d1.forward(xv)).sum() + np.abs(d2.forward(xv)).sum()
     return 0.5 * float(resid @ resid) + alpha * float(tv)
@@ -382,7 +394,8 @@ def run_tv_solver(
     """Relaxed primal-dual solve of the deblurring problem.
 
     Starts from the observed image with zero duals and stops when the
-    relative primal-dual step drops below ``cfg.eps``.  The returned
+    relative primal-dual step drops below ``cfg.eps`` (or a step turns
+    non-finite; ``result.stop_reason`` says which).  The returned
     image is the final (relaxed) primal iterate; it may leave the box
     by a relaxation-sized margin mid-run, while one extra resolvent
     application lands inside it.
@@ -394,10 +407,12 @@ def run_tv_solver(
     if record_objective:
         b = observed.as_hvector()
         alpha = cfg.alpha
+        shape = observed.shape
+        n = problem.dim
+        grads = build_gradient_ops(*shape)
 
-        def objective_fn(state: PDState) -> float:
-            grid = ImageGrid(state.x.as_grid(), observed.peak)
-            return tv_objective(grid, R, b, alpha)
+        def objective_fn(z: np.ndarray) -> float:
+            return tv_objective(z[:n].reshape(shape), R, b, alpha, grads)
 
     result = pd_iterate(
         problem, z0, sched, cfg.eps, cfg.max_iter,
@@ -443,11 +458,16 @@ class SweepGrid:
     lambda_values: tuple[float, ...]
     include_equal_sigma: bool = True
 
+    def __post_init__(self):
+        for lam in self.lambda_values:
+            if not 0.0 <= lam <= 2.0:
+                raise ValueError(f"relaxation {lam} outside [0, 2]")
+
 
 SWEEP_COLUMNS = (
     "tau", "sigma1", "sigma2", "sigma3", "lambda", "seed",
     "iterations", "converged", "final_residual", "objective",
-    "psnr", "wall_ms",
+    "psnr", "wall_ms", "error",
 )
 
 
@@ -464,40 +484,39 @@ def _sweep_cells(grid: SweepGrid, d1_sq: float, d2_sq: float):
 
 
 def _run_cell(cfg, observed, R, clean, b):
+    """One sweep row; a cell that raises gives a NaN row whose
+    ``error`` holds the exception class and message."""
+    row = {
+        "tau": cfg.tau,
+        "sigma1": cfg.sigma1,
+        "sigma2": cfg.sigma2,
+        "sigma3": cfg.sigma3,
+        "lambda": cfg.relaxation,
+        "seed": cfg.seed,
+    }
     t0 = time.perf_counter()
     try:
         run = run_tv_solver(cfg, observed, R)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        return {
-            "tau": cfg.tau,
-            "sigma1": cfg.sigma1,
-            "sigma2": cfg.sigma2,
-            "sigma3": cfg.sigma3,
-            "lambda": cfg.relaxation,
-            "seed": cfg.seed,
-            "iterations": run.iterations,
-            "converged": run.converged,
-            "final_residual": run.result.final_residual,
-            "objective": tv_objective(run.image, R, b, cfg.alpha),
-            "psnr": psnr(run.image, clean),
-            "wall_ms": wall_ms,
-        }
-    except Exception:
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        return {
-            "tau": cfg.tau,
-            "sigma1": cfg.sigma1,
-            "sigma2": cfg.sigma2,
-            "sigma3": cfg.sigma3,
-            "lambda": cfg.relaxation,
-            "seed": cfg.seed,
-            "iterations": 0,
-            "converged": False,
-            "final_residual": math.nan,
-            "objective": math.nan,
-            "psnr": math.nan,
-            "wall_ms": wall_ms,
-        }
+        row["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        row.update(
+            iterations=run.iterations,
+            converged=run.converged,
+            final_residual=run.result.final_residual,
+            objective=tv_objective(run.image, R, b, cfg.alpha),
+            psnr=psnr(run.image, clean),
+            error="",
+        )
+    except Exception as exc:  # one failed cell must not end the sweep
+        row.update(
+            wall_ms=(time.perf_counter() - t0) * 1e3,
+            iterations=0,
+            converged=False,
+            final_residual=math.nan,
+            objective=math.nan,
+            psnr=math.nan,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+    return row
 
 
 def sweep(

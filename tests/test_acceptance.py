@@ -153,14 +153,14 @@ def test_criterion_01_prox_resolvent_oracles():
     for _ in range(100):
         x = rng.uniform(-5, 5, size=8)
         kappa = float(rng.uniform(0.0, 2.0))
-        got = prox_l1(hvector(x), kappa).data
+        got = prox_l1(x, kappa)
         np.testing.assert_allclose(got, grid_prox_oracle(x, kappa),
                                    atol=2e-4)
 
     for _ in range(100):
         x = rng.uniform(-3, 3, size=8)
         lo, hi = sorted(rng.uniform(-2, 2, size=2))
-        got = project_box(hvector(x), lo, hi).data
+        got = project_box(x, lo, hi)
         np.testing.assert_allclose(got, grid_box_oracle(x, lo, hi),
                                    atol=2e-4)
 
@@ -170,7 +170,7 @@ def test_criterion_01_prox_resolvent_oracles():
         x = rng.standard_normal(4)
         tau = float(rng.uniform(0.1, 2.0))
         q = QuadraticDataFit(matrix_op(mat), hvector(b))
-        got = q.resolvent(tau, hvector(x)).data
+        got = q.resolvent(tau, x)
         want = np.linalg.solve(np.eye(4) + tau * mat.T @ mat,
                                x + tau * mat.T @ b)
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -179,7 +179,7 @@ def test_criterion_01_prox_resolvent_oracles():
     for _ in range(100):
         u = rng.uniform(-4, 4, size=8)
         sigma = float(rng.uniform(0.2, 3.0))
-        got = moreau_inverse_resolvent(prox_abs, sigma, hvector(u)).data
+        got = moreau_inverse_resolvent(prox_abs, sigma, u)
         np.testing.assert_allclose(got, np.clip(u, -1.0, 1.0), atol=1e-10)
 
     elapsed = time.perf_counter() - t0

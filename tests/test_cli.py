@@ -64,6 +64,7 @@ class TestSolveTV:
         assert rc == 0
         captured = capsys.readouterr().out
         assert "iterations=" in captured
+        assert captured.rstrip().endswith("stop=eps")
         assert (out / "restored.pgm").exists()
         with open(out / "trace.csv") as f:
             rows = list(csv.reader(f))
@@ -89,7 +90,25 @@ class TestSolveTV:
         rc = main(["solve-tv", "--config", cfg, "--lambda", "0",
                    "--max-iter", "5"])
         assert rc == 2
-        assert "iterations=5 converged=False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "iterations=5 converged=False" in out
+        assert out.rstrip().endswith("stop=max_iter")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_run_exit_2(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        from pdsplit.monotone import QuadraticDataFit
+
+        monkeypatch.setattr(QuadraticDataFit, "resolvent",
+                            lambda self, tau, x: np.full_like(x, np.inf))
+        cfg = write_config(tmp_path, SOLVE_CONFIG, out=str(tmp_path / "o"))
+        rc = main(["solve-tv", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ""
+        assert "iterations=1 converged=False" in captured.out
+        assert captured.out.rstrip().endswith("stop=nonfinite")
 
     @pytest.mark.parametrize("command,extra", [
         ("solve-tv", ["--eps", "-1"]),
@@ -177,6 +196,71 @@ out_dir = {out}
         assert (out / "restored.pgm").exists()
 
 
+class TestPGMSize:
+    """Step sizes follow the loaded image's grid, not the n1/n2 keys."""
+
+    TEXT = """
+[image]
+source = {src}
+{size_keys}
+[solver]
+tau = 0.4
+{steps}
+alpha = 0.01
+lambda = 1.9
+eps = 1e-4
+max_iter = 3
+"""
+
+    def _setup(self, tmp_path, n, steps, size_keys=""):
+        import argparse
+
+        from pdsplit import synthetic_image
+        from pdsplit.cli import _load_config, _tv_setup
+        from pdsplit.pgm import write_pgm
+
+        src = tmp_path / f"img{n}.pgm"
+        write_pgm(src, synthetic_image(n, n, peak=255.0).pixels)
+        cfg = write_config(tmp_path, self.TEXT, name=f"pgm{n}.ini",
+                           src=src, steps=steps, size_keys=size_keys)
+        none = argparse.Namespace(relaxation=None, eps=None, max_iter=None,
+                                  seed=None)
+        return cfg, lambda: _tv_setup(_load_config(cfg), none)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_gamma_steps_sit_on_the_boundary_of_a_128_image(self, tmp_path):
+        from pdsplit import gradient_norm_sq
+
+        cfg, setup = self._setup(tmp_path, 128, "gamma1 = 0.6\ngamma2 = 0.01")
+        c, observed, _, _ = setup()
+        assert observed.shape == (128, 128)
+        d = gradient_norm_sq(128)
+        bound = c.tau * (c.sigma1 * d + c.sigma2 * d + c.sigma3)
+        assert bound == pytest.approx(1.0, rel=1e-12)
+        rc = main(["solve-tv", "--config", cfg, "--out-dir",
+                   str(tmp_path / "o")])
+        assert rc == 2  # three iterations: a run, not a config error
+
+    def test_equal_sigma_of_a_32_image(self, tmp_path):
+        from pdsplit import equal_critical_sigma, gradient_norm_sq
+
+        _, setup = self._setup(tmp_path, 32, "stepsizes = equal")
+        c, _, R, _ = setup()
+        d = gradient_norm_sq(32)
+        assert c.sigma1 == c.sigma2 == c.sigma3 \
+            == equal_critical_sigma(0.4, d, d)
+        assert R.dom_dim == 32 * 32
+
+    def test_contradicting_size_key_is_config_error(self, tmp_path, capsys):
+        cfg, _ = self._setup(tmp_path, 32, "stepsizes = equal",
+                             size_keys="n1 = 64")
+        rc = main(["solve-tv", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
 class TestSweepCommand:
     def test_sweep_csv_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -188,10 +272,23 @@ class TestSweepCommand:
         assert rows[0] == [
             "tau", "sigma1", "sigma2", "sigma3", "lambda", "seed",
             "iterations", "converged", "final_residual", "objective",
-            "psnr", "wall_ms",
+            "psnr", "wall_ms", "error",
         ]
         assert len(rows) == 3  # header + gamma cell + equal-sigma cell
         assert all(r[7] == "true" for r in rows[1:])
+        assert all(r[12] == "" for r in rows[1:])
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_lambda_and_seed_options_replace_the_config(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SWEEP_CONFIG, out=str(out))
+        main(["sweep", "--config", cfg, "--lambda", "0.5", "--seed", "7",
+              "--max-iter", "3"])
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(r["lambda"] == "0.5" and r["seed"] == "7" for r in rows)
+        assert all(r["iterations"] == "3" for r in rows)
 
 
 class TestDRSCheckCommand:

@@ -64,8 +64,8 @@ class TestDRSOperator:
         p = DRSProblem(A=zero_operator(), B=b,
                        upsilon=scalar_precond(0.7, 3))
         z = hvector(rng.standard_normal(3))
-        want = b.resolvent(scalar_precond(0.7, 3), z)
-        np.testing.assert_allclose(drs_operator(p, z).data, want.data)
+        want = b.resolvent(scalar_precond(0.7, 3), z.data)
+        np.testing.assert_allclose(drs_operator(p, z).data, want)
 
     def test_scalar_fixed_point_and_solution_pair(self):
         # the map is z -> z/2; run a fixed count (the limit is exactly 0,
@@ -75,10 +75,10 @@ class TestDRSOperator:
                           RelaxationSchedule.constant(1.0), None, 200)
         z_hat = res.state
         assert z_hat.data[0] == pytest.approx(0.0, abs=1e-12)
-        x_hat = p.A.resolvent(p.upsilon, z_hat)
-        u_hat = -1.0 * (z_hat - x_hat)
-        assert x_hat.data[0] == pytest.approx(0.5, abs=1e-12)
-        assert u_hat.data[0] == pytest.approx(0.5, abs=1e-12)
+        x_hat = p.A.resolvent(p.upsilon, z_hat.data)
+        u_hat = -1.0 * (z_hat.data - x_hat)
+        assert x_hat[0] == pytest.approx(0.5, abs=1e-12)
+        assert u_hat[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_half_averaged(self, rng):
         for _ in range(20):
@@ -142,7 +142,7 @@ class TestSequenceEquivalence:
         u0 = hvector(np.zeros(5))
         run = pd_drs_iterate(p, x0, u0,
                              RelaxationSchedule.constant(1.0), None, 3)
-        np.testing.assert_allclose(run.z_sequence[0].data, x0.data)
+        np.testing.assert_allclose(run.z_sequence[0], x0.data)
 
     def test_zero_operators_exact_match(self):
         p = DRSProblem(A=zero_operator(), B=zero_operator(),
@@ -202,5 +202,5 @@ class TestFixedPointTransport:
             )
             assert run.converged
             z = run.z_sequence[-1]
-            drift = (drs_operator(p, z) - z).norm()
-            assert drift <= 1e-9 * (1.0 + z.norm())
+            drift = np.linalg.norm(drs_operator(p, z) - z)
+            assert drift <= 1e-9 * (1.0 + np.linalg.norm(z))

@@ -18,7 +18,7 @@ from conftest import identity_saddle, random_state
 
 def affine_map(mat, shift):
     def apply(z):
-        return hvector(mat @ z.data + shift)
+        return mat @ z + shift
     return apply
 
 
@@ -77,10 +77,11 @@ class TestResidualRel:
 class TestKMIterate:
     def test_constant_map_one_step(self):
         c = hvector([3.0, -1.0])
-        s = lambda z: c
+        s = lambda z: c.data
         res = km_iterate(s, hvector([1.0, 1.0]),
                          RelaxationSchedule.constant(1.0), 1e-12, 50)
         assert res.converged
+        assert res.stop_reason == "eps"
         np.testing.assert_allclose(res.state.data, c.data)
         assert res.trace[1].residual == 0.0
 
@@ -111,8 +112,19 @@ class TestKMIterate:
         res = km_iterate(s, hvector([1.0]),
                          RelaxationSchedule.constant(1.0), 1e-12, 10)
         assert not res.converged
+        assert res.stop_reason == "max_iter"
         assert res.iterations == 10
         assert len(res.trace) == 10
+
+    def test_nonfinite_step_stops_at_last_finite_iterate(self):
+        z0 = hvector([1.0, -2.0])
+        res = km_iterate(lambda z: np.full_like(z, np.nan), z0,
+                         RelaxationSchedule.constant(1.0), 1e-8, 10)
+        assert res.stop_reason == "nonfinite"
+        assert not res.converged
+        assert res.iterations == 1
+        assert math.isnan(res.final_residual)
+        assert (res.state.data == z0.data).all()
 
     def test_step_norms_nonincreasing_for_averaged_map(self, rng):
         dim = 6
@@ -120,12 +132,12 @@ class TestKMIterate:
         q, _ = np.linalg.qr(raw)
         mat = 0.5 * (np.eye(dim) + 0.95 * q)
         s = affine_map(mat, rng.standard_normal(dim))
-        z = hvector(rng.standard_normal(dim))
+        z = rng.standard_normal(dim)
         prev = None
         sched = RelaxationSchedule.constant(1.0)
         for n in range(200):
             z_next = s(z)
-            step = (z_next - z).norm()
+            step = np.linalg.norm(z_next - z)
             if prev is not None:
                 assert step <= prev + 1e-12 * (1.0 + prev)
             prev = step
@@ -164,7 +176,7 @@ class TestKMIterate:
         s = lambda z: 0.5 * z
         res = km_iterate(
             s, hvector([2.0]), RelaxationSchedule.constant(1.0), 1e-30, 5,
-            objective_fn=lambda z: float(z.data[0] ** 2),
+            objective_fn=lambda z: float(z[0] ** 2),
         )
         assert res.trace[0].objective == pytest.approx(1.0)
         assert res.trace[1].objective == pytest.approx(0.25)
@@ -176,7 +188,7 @@ class TestMonitors:
         def apply(z):
             if fixed is None:
                 return 0.5 * z
-            return 0.5 * z + 0.5 * fixed
+            return 0.5 * z + 0.5 * fixed.flat()
         return apply
 
     def test_fejer_decreasing_for_contraction(self, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdsplit import (
+    MonotoneOp,
     PDProblem,
     PDState,
     RelaxationSchedule,
@@ -181,6 +182,7 @@ class TestPDIterate:
         res = pd_iterate(p, p.initial_state(),
                          RelaxationSchedule.constant(1.0), 1e-8, 10000)
         assert res.converged
+        assert res.stop_reason == "eps"
         assert res.state.x.data[0] == pytest.approx(0.5, abs=1e-7)
         assert res.state.duals[0].data[0] == pytest.approx(0.5, abs=1e-7)
 
@@ -226,6 +228,23 @@ class TestPDIterate:
                              RelaxationSchedule.constant(1.0), 1e-8, 5,
                              override=True)
         assert res.iterations >= 1
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_primal_resolvent_stops_run(self):
+        inf_op = MonotoneOp(lambda p, x: np.full_like(x, np.inf), "inf")
+        p = PDProblem(
+            A=inf_op,
+            blocks=((zero_operator(), identity_op(2)),),
+            upsilon=scalar_precond(0.5, 2),
+            sigmas=(scalar_precond(1.0, 2),),
+        )
+        z0 = p.initial_state(hvector([1.0, 2.0]))
+        res = pd_iterate(p, z0, RelaxationSchedule.constant(1.0), 1e-8, 10)
+        assert res.stop_reason == "nonfinite"
+        assert res.iterations == 1
+        assert (res.state.x.data == z0.x.data).all()
+        assert (res.state.duals[0].data == 0.0).all()
 
 
 class TestZeroInclusionResidual:

@@ -371,9 +371,23 @@ class TestSweep:
         assert row["psnr"] == psnr(run.image, clean)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_failed_cell_recorded(self):
+    def test_failed_cell_recorded(self, monkeypatch):
         # max_iter=1 cannot converge; row must report the failure
         grid, _ = self._tiny()
         inst = TVInstance(n1=16, n2=16, peak=1.0, eps=1e-12, max_iter=1)
         rows = sweep(grid, inst, seeds=(0,))
         assert all(not r["converged"] for r in rows)
+        assert all(r["error"] == "" for r in rows)
+        # a cell that raises gives a NaN row naming the exception
+        import pdsplit.tv as tv_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(tv_mod, "run_tv_solver", boom)
+        rows = sweep(grid, inst, seeds=(0,))
+        assert len(rows) == 2
+        for r in rows:
+            assert r["error"] == "RuntimeError: solver exploded"
+            assert r["iterations"] == 0 and not r["converged"]
+            assert math.isnan(r["objective"])
