@@ -9,7 +9,6 @@ experiment harness.
 from .linalg import (
     HVector,
     LinOp,
-    PDState,
     Precond,
     RangeDiagnostics,
     SaddleOperator,

@@ -25,6 +25,7 @@ import numpy as np
 from .drs import DRSProblem, equivalence_deviation
 from .km import RelaxationSchedule
 from .linalg import (
+    DENSE_DIM_LIMIT,
     dense_range_diagnostics,
     hvector,
     identity_op,
@@ -274,6 +275,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         seeds = ((args.seed,) if args.seed is not None
                  else _ints(sw.get("seeds", "0")))
+        if any(seed < 0 for seed in seeds):
+            raise ConfigError(f"seeds must be nonnegative, got {seeds}")
         img = cp["image"] if cp.has_section("image") else {}
         blur = cp["blur"] if cp.has_section("blur") else {}
         noise = cp["noise"] if cp.has_section("noise") else {}
@@ -320,6 +323,11 @@ def _random_drs_instance(dim: int, rng: np.random.Generator) -> DRSProblem:
 
 
 def cmd_drs_check(args: argparse.Namespace) -> int:
+    for name, low in (("dims", 1), ("iters", 1), ("instances", 0)):
+        if getattr(args, name) < low:
+            print(f"config error: --{name} must be at least {low}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.instances):
@@ -354,6 +362,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             problem = build_problem(cfg, observed, R)
         elif kind == "identity":
             dim = int(cp["image"].get("n1", 4)) if cp.has_section("image") else 4
+            if dim < 1:
+                raise ConfigError(f"n1 must be at least 1, got {dim}")
             tau = float(sol.get("tau", 1.0))
             sig = float(sol.get("sigma", sol.get("sigma1", 1.0)))
             problem = PDProblem(
@@ -372,7 +382,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     print(f"step_condition_estimate={cond.norm_sq_estimate:.6f}")
     print(f"critical={str(cond.critical).lower()}")
     v_op = problem.saddle_operator()
-    if v_op.total_dim <= 4096:
+    if v_op.total_dim <= DENSE_DIM_LIMIT:
         diag = dense_range_diagnostics(v_op)
         kdim = v_op.total_dim - diag.rank
         print(f"rank={diag.rank} alpha={diag.min_nonzero_eig:.6g} "
@@ -423,6 +433,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "needs_config", False) and not args.config:
         print("config error: --config is required", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print("config error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_CONFIG
     return args.func(args)
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .km import KMResult, Monitor, RelaxationSchedule, km_iterate
-from .linalg import HVector, PDState, Precond, identity_op
+from .linalg import HVector, Precond, as_flat, identity_op
 from .monotone import MonotoneOp
 from .primal_dual import PDProblem, pd_iterate
 
@@ -44,11 +44,9 @@ class DRSProblem:
         return self.upsilon.dim
 
 
-def drs_operator(p: DRSProblem, z):
+def drs_operator(p: DRSProblem, z: np.ndarray) -> np.ndarray:
     """Reflected-resolvent composition J_B(2 J_A z - z) + z - J_A z on a
-    flat array (or an HVector, which gives an HVector back)."""
-    if isinstance(z, HVector):
-        return z.with_flat(drs_operator(p, z.data))
+    flat array."""
     ja = p.A.resolvent(p.upsilon, z)
     jb = p.B.resolvent(p.upsilon, 2.0 * ja - z)
     return jb + z - ja
@@ -56,7 +54,7 @@ def drs_operator(p: DRSProblem, z):
 
 def drs_iterate(
     p: DRSProblem,
-    z0: HVector,
+    z0: HVector | np.ndarray,
     sched: RelaxationSchedule,
     eps: float | None,
     max_iter: int,
@@ -108,8 +106,8 @@ def _aux_point(p: DRSProblem, state: np.ndarray) -> np.ndarray:
 
 def pd_drs_iterate(
     p: DRSProblem,
-    x0: HVector,
-    u0: HVector,
+    x0: HVector | np.ndarray,
+    u0: HVector | np.ndarray,
     sched: RelaxationSchedule,
     eps: float | None,
     max_iter: int,
@@ -122,8 +120,9 @@ def pd_drs_iterate(
     with the classic relaxed iteration started at z_0 = x_0 - Y u_0.
     """
     collector = _Collector(lambda state: _aux_point(p, state))
-    result = pd_iterate(as_pd_problem(p), PDState(x0, (u0,)), sched, eps,
-                        max_iter, monitors=(collector,))
+    z0 = np.concatenate((as_flat(x0), as_flat(u0)))
+    result = pd_iterate(as_pd_problem(p), z0, sched, eps, max_iter,
+                        monitors=(collector,))
     return PDDRSResult(**vars(result), z_sequence=collector.values)
 
 
@@ -137,32 +136,30 @@ def _solve_id_plus_sq(upsilon: Precond, arr: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_transport(
-    p: DRSProblem, z_hat: HVector, tol: float = 1e-8
-) -> PDState:
+    p: DRSProblem, z_hat: HVector | np.ndarray, tol: float = 1e-8
+) -> np.ndarray:
     """Transport a fixed point of the reflected-resolvent operator to a
     shadow-fixed primal-dual state.
 
-    Returns (x, u) = ((Id + Y^2)^{-1} z, -Y (Id + Y^2)^{-1} z).  The
-    inverse map x - Y u recovers z exactly, and one application of the
-    primal-dual resolvent to the result yields a zero of the inclusion.
+    Returns the flat state (x, u) = ((Id + Y^2)^{-1} z, -Y (Id + Y^2)^{-1} z)
+    in ``as_pd_problem(p)``'s layout.  The inverse map x - Y u recovers
+    z exactly, and one application of the primal-dual resolvent to the
+    result yields a zero of the inclusion.
     """
-    z = z_hat.data
+    z = as_flat(z_hat)
     drift = float(np.linalg.norm(drs_operator(p, z) - z))
-    if drift > tol * (1.0 + z_hat.norm()):
+    if drift > tol * (1.0 + float(np.linalg.norm(z))):
         raise ValueError(
             f"z_hat is not a fixed point to tolerance ({drift:.3e})"
         )
     w = _solve_id_plus_sq(p.upsilon, z)
-    return PDState(
-        HVector(w, z_hat.dims),
-        (HVector(-p.upsilon.apply(w), z_hat.dims),),
-    )
+    return np.concatenate((w, -p.upsilon.apply(w)))
 
 
 def equivalence_deviation(
     p: DRSProblem,
-    x0: HVector,
-    u0: HVector,
+    x0: HVector | np.ndarray,
+    u0: HVector | np.ndarray,
     sched: RelaxationSchedule,
     iters: int,
 ) -> float:
@@ -170,10 +167,10 @@ def equivalence_deviation(
     and the classic relaxed iteration over a fixed number of steps
     (+inf when one run ends early on a non-finite step)."""
     pd_run = pd_drs_iterate(p, x0, u0, sched, eps=None, max_iter=iters)
-    z0 = _aux_point(p, np.concatenate((x0.data, u0.data)))
     coll = _Collector(np.copy)
-    km_iterate(lambda z: drs_operator(p, z), z0, sched, eps=None,
-               max_iter=iters, monitors=(coll,))
+    # the classic run starts where the auxiliary sequence does
+    km_iterate(lambda z: drs_operator(p, z), pd_run.z_sequence[0], sched,
+               eps=None, max_iter=iters, monitors=(coll,))
     if len(coll.values) != len(pd_run.z_sequence):
         return math.inf
     return max(float(np.max(np.abs(za - zb)))

@@ -1,9 +1,11 @@
 """Generic relaxed fixed-point iteration with stopping and diagnostics.
 
-Runs z_{n+1} = z_n + lambda_n (S z_n - z_n) on one flat float64 state
-(an HVector or PDState start is flattened once and the result wrapped
-back once).  Non-convergence and non-finite steps are reported as data,
-not raised, so parameter sweeps can record failures.
+Runs z_{n+1} = z_n + lambda_n (S z_n - z_n) on one flat float64 state;
+for a primal-dual map that state is ``x | u_1 | ... | u_m`` in the
+problem's layout.  A start point may be an array or an HVector, and the
+final state is always a flat array.  Non-convergence and non-finite
+steps are reported as data, not raised, so parameter sweeps can record
+failures.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import HVector, PDState, SaddleOperator, as_flat, seminorm
+from .linalg import SaddleOperator, as_flat, seminorm
 
 __all__ = [
     "RelaxationSchedule",
@@ -90,12 +92,12 @@ class IterTrace:
 
 @dataclass
 class KMResult:
-    """Final state (the type of the start point), per-iteration trace
-    and why the run stopped: ``"eps"`` (the residual met eps),
-    ``"max_iter"`` or ``"nonfinite"`` (a step produced a non-finite
-    residual; ``state`` is the last finite iterate)."""
+    """Final flat state, per-iteration trace and why the run stopped:
+    ``"eps"`` (the residual met eps), ``"max_iter"`` or ``"nonfinite"``
+    (a step produced a non-finite residual; ``state`` is the last
+    finite iterate)."""
 
-    state: Any
+    state: np.ndarray
     trace: list[IterTrace] = field(default_factory=list)
     stop_reason: str = "max_iter"
 
@@ -113,8 +115,8 @@ class KMResult:
 
 
 def residual_rel(z_next, z) -> float:
-    """Relative step size sqrt(||z_next - z||^2 / ||z||^2) for arrays,
-    HVectors or PDStates.
+    """Relative step size sqrt(||z_next - z||^2 / ||z||^2) for arrays
+    or HVectors.
 
     Returns +inf when ||z|| = 0 (sentinel for an uninformative base
     point).
@@ -215,9 +217,9 @@ def km_iterate(
     """Relaxed fixed-point iteration until the relative step
     lambda_n ||S z_n - z_n|| / ||z_n|| drops below eps.
 
-    ``s_map`` is the self-map S on flat float64 arrays; ``z0`` is an
-    HVector, a PDState or a 1-D array, and the result's ``state`` has
-    the same form.  Monitors and ``objective_fn`` see flat arrays.  A
+    ``s_map`` is the self-map S on flat float64 arrays; ``z0`` is a
+    1-D array or an HVector, and the result's ``state`` is a flat
+    array.  Monitors and ``objective_fn`` see flat arrays.  A
     step with lambda_n = 0 never meets ``eps``: its relaxed step is zero
     whatever S z_n - z_n is.  ``eps=None`` disables the stopping rule
     and runs exactly ``max_iter`` steps (used by sequence-equivalence
@@ -270,5 +272,4 @@ def km_iterate(
         if eps is not None and lam > 0.0 and r < eps:
             stop = "eps"
             break
-    state = z0.with_flat(z) if isinstance(z0, (HVector, PDState)) else z
-    return KMResult(state=state, trace=trace, stop_reason=stop)
+    return KMResult(state=z, trace=trace, stop_reason=stop)

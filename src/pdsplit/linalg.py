@@ -1,10 +1,17 @@
 """Finite-dimensional Hilbert-space primitives.
 
-Vectors with shape metadata, linear operators with adjoints,
-strongly monotone self-adjoint preconditioners, the saddle-point
-metric operator built from a primal preconditioner, dual-block
-preconditioners and coupling operators, plus power iteration and
-small-scale dense range diagnostics.
+Validated input vectors with shape metadata, linear operators with
+adjoints, strongly monotone self-adjoint preconditioners, the
+saddle-point metric operator built from a primal preconditioner,
+dual-block preconditioners and coupling operators, plus power
+iteration and small-scale dense range diagnostics.
+
+A primal-dual state is one flat float64 array ``x | u_1 | ... | u_m``:
+the primal block first, then each dual block in order (the offsets are
+``PDProblem.dual_slices``; ``SaddleOperator.block_dims`` gives the same
+layout).  ``HVector`` only records a vector that enters from outside
+(an observation or a start point), and ``as_flat`` turns one into an
+array.
 
 In infinite dimensions the quadratic form of a monotone self-adjoint
 operator induces a complete metric on its range only when that range
@@ -24,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "HVector",
-    "PDState",
     "LinOp",
     "Precond",
     "SaddleOperator",
@@ -66,12 +72,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HVector:
-    """Element of a finite-dimensional real Hilbert space.
+    """Validated input vector of a finite-dimensional real Hilbert space.
 
-    Stores a flat float64 array together with the logical shape it
-    represents (e.g. ``(n1, n2)`` for an image).  Instances are
-    immutable; every arithmetic operation returns a fresh vector and
-    rejects non-finite entries.
+    Stores a read-only flat float64 copy of finite entries together with
+    the logical shape it represents (e.g. ``(n1, n2)`` for an image).
     """
 
     data: np.ndarray
@@ -98,43 +102,6 @@ class HVector:
     def as_grid(self) -> np.ndarray:
         return self.data.reshape(self.dims)
 
-    def _check_compatible(self, other: "HVector") -> None:
-        if self.data.size != other.data.size:
-            raise ValueError(
-                f"dimension mismatch: {self.data.size} vs {other.data.size}"
-            )
-
-    def dot(self, other: "HVector") -> float:
-        self._check_compatible(other)
-        return float(self.data @ other.data)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def __add__(self, other: "HVector") -> "HVector":
-        self._check_compatible(other)
-        return HVector(self.data + other.data, self.dims)
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        self._check_compatible(other)
-        return HVector(self.data - other.data, self.dims)
-
-    def __mul__(self, c: float) -> "HVector":
-        return HVector(self.data * float(c), self.dims)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HVector":
-        return HVector(-self.data, self.dims)
-
-    def flat(self) -> np.ndarray:
-        """Writable float64 copy of the entries."""
-        return self.data.copy()
-
-    def with_flat(self, arr: np.ndarray) -> "HVector":
-        """An HVector with this one's dims holding ``arr``."""
-        return HVector(arr, self.dims)
-
 
 def hvector(values, dims: tuple[int, ...] | None = None) -> HVector:
     """Build an HVector from any array-like, defaulting to a flat shape."""
@@ -144,71 +111,11 @@ def hvector(values, dims: tuple[int, ...] | None = None) -> HVector:
     return HVector(arr.ravel(), tuple(dims))
 
 
-@dataclass(frozen=True)
-class PDState:
-    """Primal-dual pair: a primal vector and a tuple of dual block vectors."""
-
-    x: HVector
-    duals: tuple[HVector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "duals", tuple(self.duals))
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return (self.x.size,) + tuple(u.size for u in self.duals)
-
-    def dot(self, other: "PDState") -> float:
-        s = self.x.dot(other.x)
-        for u, v in zip(self.duals, other.duals, strict=True):
-            s += u.dot(v)
-        return s
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def __add__(self, other: "PDState") -> "PDState":
-        return PDState(
-            self.x + other.x,
-            tuple(u + v for u, v in zip(self.duals, other.duals,
-                                        strict=True)),
-        )
-
-    def __sub__(self, other: "PDState") -> "PDState":
-        return PDState(
-            self.x - other.x,
-            tuple(u - v for u, v in zip(self.duals, other.duals,
-                                        strict=True)),
-        )
-
-    def __mul__(self, c: float) -> "PDState":
-        return PDState(self.x * c, tuple(u * c for u in self.duals))
-
-    __rmul__ = __mul__
-
-    def flat(self) -> np.ndarray:
-        """One contiguous float64 array: x, then each dual block."""
-        return np.concatenate([self.x.data] + [u.data for u in self.duals])
-
-    def with_flat(self, arr: np.ndarray) -> "PDState":
-        """A PDState with this one's block layout and dims holding the
-        flat array ``arr``."""
-        arr = np.asarray(arr, dtype=np.float64).ravel()
-        if arr.size != sum(self.block_dims):
-            raise ValueError("flat vector has wrong total dimension")
-        offs = np.cumsum((0,) + self.block_dims)
-        parts = [arr[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)]
-        return PDState(
-            HVector(parts[0], self.x.dims),
-            tuple(HVector(p, u.dims) for p, u in zip(parts[1:], self.duals)),
-        )
-
-
 def as_flat(z) -> np.ndarray:
-    """The flat float64 entries of an HVector, a PDState or an array
-    (arrays are returned as they are, when already float64)."""
-    if isinstance(z, (HVector, PDState)):
-        return z.flat()
+    """The flat float64 entries of an HVector or an array-like; may
+    share memory with ``z`` (read-only for an HVector)."""
+    if isinstance(z, HVector):
+        return z.data
     return np.asarray(z, dtype=np.float64).ravel()
 
 
@@ -229,20 +136,6 @@ class LinOp:
     cod_dim: int
     fft_symbol: np.ndarray | None = None
     grid_shape: tuple[int, int] | None = None
-
-    def __call__(self, x: HVector) -> HVector:
-        if x.size != self.dom_dim:
-            raise ValueError(f"expected dim {self.dom_dim}, got {x.size}")
-        out = self.forward(x.data)
-        dims = x.dims if self.cod_dim == self.dom_dim else (self.cod_dim,)
-        return HVector(out, dims)
-
-    def adj(self, y: HVector) -> HVector:
-        if y.size != self.cod_dim:
-            raise ValueError(f"expected dim {self.cod_dim}, got {y.size}")
-        out = self.adjoint(y.data)
-        dims = y.dims if self.cod_dim == self.dom_dim else (self.dom_dim,)
-        return HVector(out, dims)
 
     def normal(self) -> "LinOp":
         """Self-adjoint positive-semidefinite composition adjoint∘forward."""
@@ -395,7 +288,7 @@ class SaddleOperator:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    def apply_flat(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator on a flat state (x, then each dual block)."""
         if v.size != self.total_dim:
             raise ValueError(
@@ -415,30 +308,9 @@ class SaddleOperator:
         out[:n] = self.upsilon.apply_inverse(x) - acc
         return out
 
-    def apply(self, z: PDState) -> PDState:
-        if z.block_dims != self.block_dims:
-            raise ValueError(
-                f"state dims {z.block_dims} do not match operator "
-                f"dims {self.block_dims}"
-            )
-        return z.with_flat(self.apply_flat(z.flat()))
-
-    def quad_form(self, z) -> float:
-        """<V z, z> for a PDState or a flat state."""
-        v = as_flat(z)
-        return float(v @ self.apply_flat(v))
-
-    def flatten(self, z: PDState) -> np.ndarray:
-        return z.flat()
-
-    def unflatten(self, arr: np.ndarray, template: PDState | None = None) -> PDState:
-        if template is None:
-            dims = self.block_dims
-            template = PDState(
-                HVector(np.zeros(dims[0]), (dims[0],)),
-                tuple(HVector(np.zeros(d), (d,)) for d in dims[1:]),
-            )
-        return template.with_flat(arr)
+    def quad_form(self, z: np.ndarray) -> float:
+        """<V z, z> for a flat state."""
+        return float(z @ self.apply(z))
 
     def as_matrix(self) -> np.ndarray:
         n = self.upsilon.dim
@@ -460,17 +332,16 @@ class SaddleOperator:
         return mat
 
 
-def seminorm(v_op: SaddleOperator, z) -> float:
+def seminorm(v_op: SaddleOperator, z: np.ndarray) -> float:
     """Seminorm induced by the saddle operator's quadratic form.
 
-    Returns sqrt(max(<Vz, z>, 0)) for a PDState or a flat state.
+    Returns sqrt(max(<Vz, z>, 0)) for a flat state.
     Raises if the quadratic form is significantly negative relative to
     ||z||^2, which indicates the step-size condition is violated and the
     operator is not monotone.
     """
-    v = as_flat(z)
-    quad = v_op.quad_form(v)
-    nsq = float(v @ v)
+    quad = v_op.quad_form(z)
+    nsq = float(z @ z)
     if quad < -1e-10 * nsq:
         raise ValueError(
             f"quadratic form is negative ({quad:.3e} for ||z||^2={nsq:.3e}); "

@@ -15,9 +15,7 @@ import numpy as np
 
 from .km import KMResult, Monitor, RelaxationSchedule, km_iterate
 from .linalg import (
-    HVector,
     LinOp,
-    PDState,
     Precond,
     SaddleOperator,
     as_flat,
@@ -97,17 +95,17 @@ class PDProblem:
             tuple(l for _, l in self.blocks),
         )
 
-    def initial_state(self, x0: HVector | None = None) -> PDState:
-        x = x0 if x0 is not None else HVector(np.zeros(self.dim), (self.dim,))
-        duals = tuple(
-            HVector(np.zeros(s.dim), (s.dim,)) for s in self.sigmas
-        )
-        return PDState(x, duals)
+    def initial_state(self, x0=None) -> np.ndarray:
+        """Flat state with primal block ``x0`` (an array or an HVector;
+        zero when omitted) and zero duals."""
+        z = np.zeros(self.total_dim)
+        if x0 is not None:
+            z[:self.dim] = as_flat(x0)
+        return z
 
 
-def pd_resolvent(p: PDProblem, z):
-    """Joint primal-dual resolvent step on a flat state (or a PDState,
-    which gives a PDState back).
+def pd_resolvent(p: PDProblem, z: np.ndarray) -> np.ndarray:
+    """Joint primal-dual resolvent step on a flat state.
 
     Computes the primal update once and reuses it across all dual
     blocks (Gauss-Seidel structure):
@@ -119,10 +117,6 @@ def pd_resolvent(p: PDProblem, z):
     z, so kernel components of critical configurations are ignored
     automatically.
     """
-    if isinstance(z, PDState):
-        if len(z.duals) != len(p.blocks):
-            raise ValueError("state block count does not match problem")
-        return z.with_flat(pd_resolvent(p, z.flat()))
     if z.size != p.total_dim:
         raise ValueError(
             f"state dim {z.size} does not match problem dim {p.total_dim}"
@@ -185,7 +179,7 @@ def step_condition(
 
 def pd_iterate(
     p: PDProblem,
-    z0: PDState,
+    z0: np.ndarray,
     sched: RelaxationSchedule,
     eps: float | None,
     max_iter: int,
@@ -193,8 +187,8 @@ def pd_iterate(
     objective_fn=None,
     override: bool = False,
 ) -> KMResult:
-    """Relaxed primal-dual iteration from the state ``z0`` (a PDState,
-    or a flat array in ``p``'s layout).
+    """Relaxed primal-dual iteration from the flat state ``z0`` in
+    ``p``'s layout (see ``initial_state``).
 
     Checks the step-size condition first and refuses configurations
     whose estimate exceeds 1 + COND_TOL unless ``override`` is set (a
@@ -218,11 +212,10 @@ def pd_iterate(
     )
 
 
-def zero_inclusion_residual(p: PDProblem, z) -> float:
+def zero_inclusion_residual(p: PDProblem, z: np.ndarray) -> float:
     """Saddle-seminorm distance between z and its resolvent image.
 
     Zero exactly when the shadow of z is fixed, in which case one more
     resolvent application yields a solution of the inclusion.
     """
-    v = as_flat(z)
-    return seminorm(p.saddle_operator(), pd_resolvent(p, v) - v)
+    return seminorm(p.saddle_operator(), pd_resolvent(p, z) - z)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .km import KMResult, Monitor, RelaxationSchedule
-from .linalg import HVector, LinOp, PDState, identity_op, scalar_precond
+from .linalg import HVector, LinOp, identity_op, scalar_precond
 from .monotone import (
     QuadraticDataFit,
     box_operator,
@@ -313,9 +313,11 @@ def _check_run_controls(eps: float, max_iter: int) -> None:
 
 def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
     """Raise ValueError unless ``cfg`` can run on an n1 x n2 grid: eps
-    positive, max_iter at least 1, relaxation in [0, 2] and positive
-    step sizes within the boundary condition."""
+    positive, max_iter at least 1, relaxation in [0, 2], alpha
+    nonnegative and positive step sizes within the boundary condition."""
     _check_run_controls(cfg.eps, cfg.max_iter)
+    if cfg.alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
     if not 0.0 <= cfg.relaxation <= 2.0:
         raise ValueError(f"relaxation {cfg.relaxation} outside [0, 2]")
     bound = cfg.tau * (
@@ -363,7 +365,6 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
 @dataclass
 class TVRunResult:
     image: ImageGrid
-    duals: tuple[HVector, ...]
     result: KMResult
     problem: PDProblem
 
@@ -380,7 +381,7 @@ class TVRunResult:
         return self.result.trace
 
     @property
-    def state(self) -> PDState:
+    def state(self) -> np.ndarray:
         return self.result.state
 
 
@@ -401,7 +402,7 @@ def run_tv_solver(
     application lands inside it.
     """
     problem = build_problem(cfg, observed, R)
-    z0 = problem.initial_state(observed.as_hvector())
+    z0 = problem.initial_state(observed.pixels)
     sched = RelaxationSchedule.constant(cfg.relaxation)
     objective_fn = None
     if record_objective:
@@ -418,13 +419,9 @@ def run_tv_solver(
         problem, z0, sched, cfg.eps, cfg.max_iter,
         monitors=monitors, objective_fn=objective_fn,
     )
-    restored = ImageGrid(result.state.x.as_grid(), observed.peak)
-    return TVRunResult(
-        image=restored,
-        duals=result.state.duals,
-        result=result,
-        problem=problem,
-    )
+    restored = ImageGrid(result.state[:problem.dim].reshape(observed.shape),
+                         observed.peak)
+    return TVRunResult(image=restored, result=result, problem=problem)
 
 
 @dataclass(frozen=True)
@@ -444,6 +441,22 @@ class TVInstance:
 
     def __post_init__(self):
         _check_run_controls(self.eps, self.max_iter)
+        if min(self.n1, self.n2) < 2:
+            raise ValueError(
+                f"grid must be at least 2 x 2, got {self.n1} x {self.n2}"
+            )
+        if not (self.blur_size % 2 == 1
+                and 1 <= self.blur_size <= min(self.n1, self.n2)):
+            raise ValueError(
+                f"blur size {self.blur_size} must be odd and at most "
+                "the grid side"
+            )
+        if not min(self.blur_std, self.peak) > 0:
+            raise ValueError(f"blur std {self.blur_std} and peak "
+                             f"{self.peak} must be positive")
+        if not min(self.noise_std_rel, self.alpha) >= 0:
+            raise ValueError(f"noise level {self.noise_std_rel} and alpha "
+                             f"{self.alpha} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -459,6 +472,12 @@ class SweepGrid:
     include_equal_sigma: bool = True
 
     def __post_init__(self):
+        for tau in self.tau_values:
+            if not tau > 0:
+                raise ValueError(f"tau {tau} must be positive")
+        for g in (*self.gamma1_values, *self.gamma2_values):
+            if not 0.0 < g < 1.0:
+                raise ValueError(f"gamma {g} outside (0, 1)")
         for lam in self.lambda_values:
             if not 0.0 <= lam <= 2.0:
                 raise ValueError(f"relaxation {lam} outside [0, 2]")

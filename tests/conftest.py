@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from pdsplit import (
-    PDState,
     SaddleOperator,
-    hvector,
     identity_op,
     matrix_op,
     scalar_precond,
@@ -17,9 +15,8 @@ def rng():
 
 
 def random_state(rng, dims):
-    """Random primal-dual state with the given block dimensions."""
-    parts = [hvector(rng.standard_normal(d)) for d in dims]
-    return PDState(parts[0], tuple(parts[1:]))
+    """Random flat primal-dual state with the given block dimensions."""
+    return np.concatenate([rng.standard_normal(d) for d in dims])
 
 
 def adjoint_gap(op, rng, trials=100):

@@ -244,8 +244,7 @@ def test_criterion_04_critical_scalar_convergence():
         assert res.converged
         post = pd_resolvent(p, res.state)
         assert zero_inclusion_residual(p, post) < 1e-7
-        limits[lam] = (float(res.state.x.data[0]),
-                       float(res.state.duals[0].data[0]))
+        limits[lam] = (float(res.state[0]), float(res.state[1]))
     spread = max(
         abs(a - b)
         for la in limits.values() for lb in limits.values()
@@ -337,9 +336,8 @@ def test_criterion_09_fixed_point_transport():
                           RelaxationSchedule.constant(1.0), 1e-12, 100000)
         assert res.converged
         state = fixed_point_transport(p, res.state)
-        back = state.x.data - p.upsilon.apply(state.duals[0].data)
-        worst_rt = max(worst_rt,
-                       float(np.max(np.abs(back - res.state.data))))
+        back = state[:dim] - p.upsilon.apply(state[dim:])
+        worst_rt = max(worst_rt, float(np.max(np.abs(back - res.state))))
         pd = as_pd_problem(p)
         post = pd_resolvent(pd, state)
         worst_zir = max(worst_zir, zero_inclusion_residual(pd, post))

@@ -110,31 +110,43 @@ class TestSolveTV:
         assert "iterations=1 converged=False" in captured.out
         assert captured.out.rstrip().endswith("stop=nonfinite")
 
+    # ``extra`` is command-line arguments, or edits {old: new} of the
+    # command's config text
     @pytest.mark.parametrize("command,extra", [
         ("solve-tv", ["--eps", "-1"]),
         ("solve-tv", ["--eps", "0"]),
         ("solve-tv", ["--max-iter", "0"]),
         ("solve-tv", ["--lambda", "2.5"]),
-        ("solve-tv", ["explicit-sigmas"]),
+        # tau * (sigma1 ||D1||^2 + sigma2 ||D2||^2 + sigma3) > 1
+        ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
+                      "sigma1 = 0.5\nsigma2 = 0.5\nsigma3 = 0.5"}),
         ("sweep", ["--eps", "0"]),
         ("sweep", ["--max-iter", "0"]),
+        ("solve-tv", {"alpha = 0.01": "alpha = -1"}),
+        ("sweep", {"[sweep]": "[blur]\nsize = 8\n\n[sweep]"}),
+        ("sweep", {"n1 = 16": "n1 = 1"}),
+        ("sweep", {"tau_values = 0.4": "tau_values = -0.2"}),
+        ("sweep", {"gamma1_values = 0.6": "gamma1_values = 1.5"}),
+        ("drs-check", ["--dims", "0"]),
+        ("drs-check", ["--iters", "0"]),
+        ("drs-check", ["--seed", "-1"]),
+        ("sweep", {"seeds = 0": "seeds = 0 -3"}),
+        ("diagnose", {"n1 = 32": "n1 = 0",
+                      "[solver]\n": "[solver]\nproblem = identity\n"}),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):
-        out = str(tmp_path / "o")
-        if command == "sweep":
-            cfg = write_config(tmp_path, SWEEP_CONFIG, out=out)
-        elif extra == ["explicit-sigmas"]:
-            # tau * (sigma1 ||D1||^2 + sigma2 ||D2||^2 + sigma3) > 1
-            text = SOLVE_CONFIG.replace(
-                "gamma1 = 0.6\ngamma2 = 0.01",
-                "sigma1 = 0.5\nsigma2 = 0.5\nsigma3 = 0.5",
-            )
-            cfg = write_config(tmp_path, text, out=out)
-            extra = []
-        else:
-            cfg = write_config(tmp_path, SOLVE_CONFIG, out=out)
-        rc = main([command, "--config", cfg] + extra)
+        argv = [command]
+        if command != "drs-check":
+            text = SWEEP_CONFIG if command == "sweep" else SOLVE_CONFIG
+            if isinstance(extra, dict):
+                for old, new in extra.items():
+                    assert old in text
+                    text = text.replace(old, new)
+                extra = []
+            cfg = write_config(tmp_path, text, out=str(tmp_path / "o"))
+            argv += ["--config", cfg]
+        rc = main(argv + extra)
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""

@@ -82,7 +82,7 @@ class TestKMIterate:
                          RelaxationSchedule.constant(1.0), 1e-12, 50)
         assert res.converged
         assert res.stop_reason == "eps"
-        np.testing.assert_allclose(res.state.data, c.data)
+        np.testing.assert_allclose(res.state, c.data)
         assert res.trace[1].residual == 0.0
 
     def test_geometric_decay(self):
@@ -90,7 +90,7 @@ class TestKMIterate:
         res = km_iterate(s, hvector([1.0]),
                          RelaxationSchedule.constant(1.0), 1e-30, 10)
         assert not res.converged
-        assert res.state.data[0] == pytest.approx(2.0 ** -10)
+        assert res.state[0] == pytest.approx(2.0 ** -10)
 
     def test_averaged_affine_matches_dense_solve(self, rng):
         # S y = (y + Q y)/2 with Q a scaled rotation plus shift
@@ -105,7 +105,7 @@ class TestKMIterate:
         res = km_iterate(s, hvector(rng.standard_normal(dim)),
                          RelaxationSchedule.constant(1.0), 1e-12, 5000)
         assert res.converged
-        np.testing.assert_allclose(res.state.data, fixed, atol=1e-8)
+        np.testing.assert_allclose(res.state, fixed, atol=1e-8)
 
     def test_nonconvergence_flagged_not_raised(self):
         s = lambda z: 0.999 * z
@@ -124,7 +124,7 @@ class TestKMIterate:
         assert not res.converged
         assert res.iterations == 1
         assert math.isnan(res.final_residual)
-        assert (res.state.data == z0.data).all()
+        assert (res.state == z0.data).all()
 
     def test_step_norms_nonincreasing_for_averaged_map(self, rng):
         dim = 6
@@ -153,7 +153,7 @@ class TestKMIterate:
         r1 = km_iterate(affine_map(mat, shift), z0, sched, 1e-10, 100)
         r2 = km_iterate(affine_map(mat, shift), z0, sched, 1e-10, 100)
         assert r1.iterations == r2.iterations
-        assert (r1.state.data == r2.state.data).all()
+        assert (r1.state == r2.state).all()
         assert [t.residual for t in r1.trace] \
             == [t.residual for t in r2.trace]
 
@@ -188,7 +188,7 @@ class TestMonitors:
         def apply(z):
             if fixed is None:
                 return 0.5 * z
-            return 0.5 * z + 0.5 * fixed.flat()
+            return 0.5 * z + 0.5 * fixed
         return apply
 
     def test_fejer_decreasing_for_contraction(self, rng):

@@ -269,7 +269,7 @@ class TestRunSolver:
         run = run_tv_solver(cfg, observed, R)
         assert run.converged
         post = pd_resolvent(run.problem, run.state)
-        x = post.x.data
+        x = post[:run.problem.dim]
         assert x.min() >= -1e-9
         assert x.max() <= observed.peak + 1e-9
         assert zero_inclusion_residual(run.problem, post) <= 10 * cfg.eps
