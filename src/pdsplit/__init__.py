@@ -1,9 +1,9 @@
 """Monotone-operator splitting toolkit.
 
-Relaxed primal-dual iterations with critical preconditioners, the
+Relaxed primal-dual iterations with critical preconditioners and
+V-seminorm diagnostics of their saddle-point metric, the
 Douglas-Rachford equivalence, a generic relaxed fixed-point engine
-with saddle-seminorm diagnostics, and a total-variation deblurring
-experiment harness.
+and a total-variation deblurring experiment harness.
 """
 
 from .linalg import (
@@ -11,7 +11,6 @@ from .linalg import (
     LinOp,
     Precond,
     RangeDiagnostics,
-    SaddleOperator,
     PowerIterationError,
     as_flat,
     cocoercivity_constant,
@@ -24,7 +23,6 @@ from .linalg import (
     power_iteration_sqnorm,
     scalar_precond,
     scaled_identity_op,
-    seminorm,
 )
 from .monotone import (
     MonotoneOp,
@@ -42,8 +40,6 @@ from .monotone import (
     zero_operator,
 )
 from .km import (
-    DisplacementMonitor,
-    FejerMonitor,
     IterTrace,
     KMResult,
     Monitor,
@@ -52,6 +48,8 @@ from .km import (
     residual_rel,
 )
 from .primal_dual import (
+    DisplacementMonitor,
+    FejerMonitor,
     PDProblem,
     StepCondition,
     StepSizeConditionError,

@@ -247,14 +247,13 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         ascii_format=ascii_format,
     )
     write_trace_csv(out_dir / "trace.csv", run.trace)
-    b = observed.as_hvector()
-    obj = tv_objective(run.image, R, b, cfg.alpha)
+    obj = tv_objective(run.image, R, observed.pixels, cfg.alpha)
     quality = psnr(run.image, clean) if clean is not None else math.nan
     print(
         f"iterations={run.iterations} converged={run.converged} "
-        f"residual={run.result.final_residual:.3e} "
+        f"residual={run.final_residual:.3e} "
         f"objective={obj:.6f} psnr={quality:.4f} "
-        f"stop={run.result.stop_reason}"
+        f"stop={run.stop_reason}"
     )
     return EXIT_OK if run.converged else EXIT_NOCONV
 
@@ -278,6 +277,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if any(seed < 0 for seed in seeds):
             raise ConfigError(f"seeds must be nonnegative, got {seeds}")
         img = cp["image"] if cp.has_section("image") else {}
+        source = img.get("source", "synthetic")
+        if source != "synthetic":
+            # sweep rows score PSNR against the clean synthetic image
+            raise ConfigError(
+                f"sweep needs the synthetic image, got source {source!r}"
+            )
         blur = cp["blur"] if cp.has_section("blur") else {}
         noise = cp["noise"] if cp.has_section("noise") else {}
         sol = cp["solver"] if cp.has_section("solver") else {}
@@ -381,10 +386,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cond = step_condition(problem, seed=args.seed or 0)
     print(f"step_condition_estimate={cond.norm_sq_estimate:.6f}")
     print(f"critical={str(cond.critical).lower()}")
-    v_op = problem.saddle_operator()
-    if v_op.total_dim <= DENSE_DIM_LIMIT:
-        diag = dense_range_diagnostics(v_op)
-        kdim = v_op.total_dim - diag.rank
+    if problem.total_dim <= DENSE_DIM_LIMIT:
+        diag = dense_range_diagnostics(problem.metric_matrix())
+        kdim = problem.total_dim - diag.rank
         print(f"rank={diag.rank} alpha={diag.min_nonzero_eig:.6g} "
               f"kernel_dim={kdim}")
     else:

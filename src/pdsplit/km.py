@@ -5,7 +5,8 @@ for a primal-dual map that state is ``x | u_1 | ... | u_m`` in the
 problem's layout.  A start point may be an array or an HVector, and the
 final state is always a flat array.  Non-convergence and non-finite
 steps are reported as data, not raised, so parameter sweeps can record
-failures.
+failures.  ``Monitor`` is the generic per-iteration observer; the
+V-seminorm monitors of a primal-dual problem live in ``primal_dual``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,20 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import SaddleOperator, as_flat, seminorm
+from .linalg import as_flat
 
 __all__ = [
     "RelaxationSchedule",
     "IterTrace",
     "KMResult",
     "Monitor",
-    "FejerMonitor",
-    "DisplacementMonitor",
     "km_iterate",
     "residual_rel",
 ]
+
+# km_iterate warns when sum(lambda_n (2 - lambda_n)) over the run stays
+# below this
+DIVERGENCE_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -36,13 +39,12 @@ class RelaxationSchedule:
     """Relaxation parameters lambda_n in [0, 2], constant or tabulated."""
 
     lambda_at: Callable[[int], float]
-    descriptor: str
 
     @staticmethod
     def constant(lam: float) -> "RelaxationSchedule":
         lam = float(lam)
         _check_lambda(lam)
-        return RelaxationSchedule(lambda n: lam, f"constant({lam})")
+        return RelaxationSchedule(lambda n: lam)
 
     @staticmethod
     def from_sequence(values: Sequence[float]) -> "RelaxationSchedule":
@@ -55,7 +57,7 @@ class RelaxationSchedule:
         def at(n: int) -> float:
             return vals[n] if n < len(vals) else vals[-1]
 
-        return RelaxationSchedule(at, f"sequence(len={len(vals)})")
+        return RelaxationSchedule(at)
 
     def divergence_surrogate(self, n_terms: int,
                              floor: float | None = None) -> float:
@@ -81,13 +83,12 @@ def _check_lambda(lam: float) -> None:
 
 @dataclass(frozen=True)
 class IterTrace:
-    """Per-iteration record: update index, relative step residual,
-    optional objective value and displacement seminorm."""
+    """Per-iteration record: update index, relative step residual and
+    optional objective value."""
 
     n: int
     residual: float
     objective: Optional[float] = None
-    displacement: Optional[float] = None
 
 
 @dataclass
@@ -142,62 +143,6 @@ class Monitor:
         pass
 
 
-class FejerMonitor(Monitor):
-    """Distance to an anchor in the saddle seminorm, per iterate.
-
-    The anchor must be (numerically) fixed for the shadow of the
-    iteration map, e.g. the limit of a high-precision pre-solve; the
-    seminorm ignores kernel components, so the anchor's shadow is what
-    matters.
-    """
-
-    def __init__(self, v_op: SaddleOperator, anchor):
-        self.v_op = v_op
-        self.anchor = as_flat(anchor)
-        self.values: list[float] = []
-
-    def start(self, z0) -> None:
-        self.values.append(seminorm(self.v_op, z0 - self.anchor))
-
-    def observe(self, n, z, sz, z_next) -> None:
-        self.values.append(seminorm(self.v_op, z_next - self.anchor))
-
-    @property
-    def max_single_step_increase(self) -> float:
-        if len(self.values) < 2:
-            return 0.0
-        return max(
-            b - a for a, b in zip(self.values[:-1], self.values[1:])
-        )
-
-
-class DisplacementMonitor(Monitor):
-    """Seminorm of the displacement S z_n - z_n, per iteration."""
-
-    def __init__(self, v_op: SaddleOperator):
-        self.v_op = v_op
-        self.values: list[float] = []
-
-    def observe(self, n, z, sz, z_next) -> None:
-        self.values.append(seminorm(self.v_op, sz - z))
-
-    @property
-    def last_value(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
-    @property
-    def initial(self) -> float:
-        return self.values[0]
-
-    @property
-    def final(self) -> float:
-        return self.values[-1]
-
-    @property
-    def ratio(self) -> float:
-        return self.final / self.initial if self.initial != 0.0 else 0.0
-
-
 def _norm(v: np.ndarray) -> float:
     # einsum, not a BLAS dot: OpenBLAS threads dots of more than 10000
     # entries, which stalls when sweep workers already occupy every core
@@ -212,7 +157,6 @@ def km_iterate(
     max_iter: int,
     monitors: Sequence[Monitor] = (),
     objective_fn: Callable[[np.ndarray], float] | None = None,
-    divergence_floor: float = 1.0,
 ) -> KMResult:
     """Relaxed fixed-point iteration until the relative step
     lambda_n ||S z_n - z_n|| / ||z_n|| drops below eps.
@@ -233,15 +177,12 @@ def km_iterate(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if sched.divergence_surrogate(max_iter,
-                                  floor=divergence_floor) < divergence_floor:
+                                  floor=DIVERGENCE_FLOOR) < DIVERGENCE_FLOOR:
         warnings.warn(
             "relaxation schedule has a small divergence surrogate "
             "sum(lambda_n (2 - lambda_n)); convergence may stall",
             stacklevel=2,
         )
-    disp_mon = next(
-        (m for m in monitors if isinstance(m, DisplacementMonitor)), None
-    )
     z = np.array(as_flat(z0), dtype=np.float64)
     z_next = np.empty_like(z)
     for m in monitors:
@@ -265,8 +206,7 @@ def km_iterate(
         for m in monitors:
             m.observe(n, z, sz, z_next)
         obj = objective_fn(z_next) if objective_fn is not None else None
-        disp = disp_mon.last_value if disp_mon is not None else None
-        trace.append(IterTrace(n, r, obj, disp))
+        trace.append(IterTrace(n, r, obj))
         z, z_next = z_next, z
         nz = _norm(z)
         if eps is not None and lam > 0.0 and r < eps:

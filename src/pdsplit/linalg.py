@@ -1,17 +1,13 @@
 """Finite-dimensional Hilbert-space primitives.
 
 Validated input vectors with shape metadata, linear operators with
-adjoints, strongly monotone self-adjoint preconditioners, the
-saddle-point metric operator built from a primal preconditioner,
-dual-block preconditioners and coupling operators, plus power
-iteration and small-scale dense range diagnostics.
-
-A primal-dual state is one flat float64 array ``x | u_1 | ... | u_m``:
-the primal block first, then each dual block in order (the offsets are
-``PDProblem.dual_slices``; ``SaddleOperator.block_dims`` gives the same
-layout).  ``HVector`` only records a vector that enters from outside
-(an observation or a start point), and ``as_flat`` turns one into an
-array.
+adjoints, strongly monotone self-adjoint preconditioners, power
+iteration and small-scale dense range diagnostics of a symmetric
+matrix.  The saddle-point metric V built from these pieces belongs to
+``primal_dual.PDProblem``, which also owns the flat state layout
+``x | u_1 | ... | u_m`` (``PDProblem.dual_slices``).  ``HVector`` only
+records a vector that enters from outside (an observation or a start
+point), and ``as_flat`` turns one into an array.
 
 In infinite dimensions the quadratic form of a monotone self-adjoint
 operator induces a complete metric on its range only when that range
@@ -33,7 +29,6 @@ __all__ = [
     "HVector",
     "LinOp",
     "Precond",
-    "SaddleOperator",
     "RangeDiagnostics",
     "PowerIterationError",
     "hvector",
@@ -45,7 +40,6 @@ __all__ = [
     "diagonal_precond",
     "matrix_precond",
     "power_iteration_sqnorm",
-    "seminorm",
     "cocoercivity_constant",
     "dense_range_diagnostics",
 ]
@@ -64,8 +58,10 @@ class PowerIterationError(RuntimeError):
         self.last_estimate = last_estimate
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a) -> np.ndarray:
+    """A read-only contiguous float64 copy, so later writes to ``a``
+    cannot reach it."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
 
@@ -253,103 +249,6 @@ def matrix_precond(mat: np.ndarray) -> Precond:
     )
 
 
-@dataclass(frozen=True)
-class SaddleOperator:
-    """Saddle-point metric operator for a primal/dual preconditioner pair.
-
-    Maps (x, (u_i)) to (Y^-1 x - sum_i L_i^* u_i, (S_i^-1 u_i - L_i x)_i)
-    where Y is the primal preconditioner, S_i the dual block
-    preconditioners and L_i the coupling operators.  Its quadratic form
-    is positive semidefinite exactly when the step-size condition
-    holds; at critical step sizes it has a nontrivial kernel and the
-    induced quantity is only a seminorm.
-    """
-
-    upsilon: Precond
-    sigma_blocks: tuple[Precond, ...]
-    l_blocks: tuple[LinOp, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_blocks", tuple(self.sigma_blocks))
-        object.__setattr__(self, "l_blocks", tuple(self.l_blocks))
-        if len(self.sigma_blocks) != len(self.l_blocks):
-            raise ValueError("one dual preconditioner required per block")
-        for s, l in zip(self.sigma_blocks, self.l_blocks):
-            if l.dom_dim != self.upsilon.dim:
-                raise ValueError("coupling operator domain mismatch")
-            if l.cod_dim != s.dim:
-                raise ValueError("coupling operator codomain mismatch")
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return (self.upsilon.dim,) + tuple(s.dim for s in self.sigma_blocks)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_dims)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """The operator on a flat state (x, then each dual block)."""
-        if v.size != self.total_dim:
-            raise ValueError(
-                f"state dim {v.size} does not match operator "
-                f"dim {self.total_dim}"
-            )
-        n = self.upsilon.dim
-        x = v[:n]
-        out = np.empty_like(v)
-        acc = np.zeros_like(x)
-        off = n
-        for s, l in zip(self.sigma_blocks, self.l_blocks):
-            u = v[off:off + s.dim]
-            acc += l.adjoint(u)
-            out[off:off + s.dim] = s.apply_inverse(u) - l.forward(x)
-            off += s.dim
-        out[:n] = self.upsilon.apply_inverse(x) - acc
-        return out
-
-    def quad_form(self, z: np.ndarray) -> float:
-        """<V z, z> for a flat state."""
-        return float(z @ self.apply(z))
-
-    def as_matrix(self) -> np.ndarray:
-        n = self.upsilon.dim
-        total = self.total_dim
-        if total > DENSE_DIM_LIMIT:
-            raise ValueError(
-                f"total dimension {total} exceeds dense limit {DENSE_DIM_LIMIT}"
-            )
-        mat = np.zeros((total, total))
-        mat[:n, :n] = self.upsilon.inverse().as_matrix()
-        off = n
-        for s, l in zip(self.sigma_blocks, self.l_blocks):
-            lm = l.as_matrix()
-            m = s.dim
-            mat[:n, off:off + m] = -lm.T
-            mat[off:off + m, :n] = -lm
-            mat[off:off + m, off:off + m] = s.inverse().as_matrix()
-            off += m
-        return mat
-
-
-def seminorm(v_op: SaddleOperator, z: np.ndarray) -> float:
-    """Seminorm induced by the saddle operator's quadratic form.
-
-    Returns sqrt(max(<Vz, z>, 0)) for a flat state.
-    Raises if the quadratic form is significantly negative relative to
-    ||z||^2, which indicates the step-size condition is violated and the
-    operator is not monotone.
-    """
-    quad = v_op.quad_form(z)
-    nsq = float(z @ z)
-    if quad < -1e-10 * nsq:
-        raise ValueError(
-            f"quadratic form is negative ({quad:.3e} for ||z||^2={nsq:.3e}); "
-            "step-size condition violated"
-        )
-    return math.sqrt(max(quad, 0.0))
-
-
 def cocoercivity_constant(tau: float, sigma: float) -> float:
     """Cocoercivity constant tau*sigma/(tau+sigma) of the saddle operator.
 
@@ -418,7 +317,6 @@ class RangeDiagnostics:
     rank: int
     min_nonzero_eig: float
     kernel_basis: np.ndarray
-    eigenvalues: np.ndarray
     range_basis: np.ndarray = field(repr=False, default=None)
 
     def project_range(self, vec: np.ndarray) -> np.ndarray:
@@ -430,29 +328,21 @@ class RangeDiagnostics:
 
 
 def dense_range_diagnostics(
-    v_op: "SaddleOperator | np.ndarray",
+    mat: np.ndarray,
     max_dim: int = DENSE_DIM_LIMIT,
 ) -> RangeDiagnostics:
-    """Materialize a saddle operator (or raw symmetric matrix) and
-    eigendecompose it.
+    """Eigendecompose a symmetric matrix, e.g. ``PDProblem.metric_matrix()``.
 
     Exists to test theory at desk scale; solvers never need the range
     projection, so the dimension is capped at ``max_dim``.
     """
-    if isinstance(v_op, SaddleOperator):
-        if v_op.total_dim > max_dim:
-            raise ValueError(
-                f"total dimension {v_op.total_dim} exceeds max_dim {max_dim}"
-            )
-        mat = v_op.as_matrix()
-    else:
-        mat = np.asarray(v_op, dtype=np.float64)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrix must be square")
-        if mat.shape[0] > max_dim:
-            raise ValueError(
-                f"dimension {mat.shape[0]} exceeds max_dim {max_dim}"
-            )
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    if mat.shape[0] > max_dim:
+        raise ValueError(
+            f"dimension {mat.shape[0]} exceeds max_dim {max_dim}"
+        )
     w, u = np.linalg.eigh(mat)
     lam_max = float(w[-1]) if w.size else 0.0
     cutoff = 1e-10 * max(lam_max, 0.0)
@@ -463,6 +353,5 @@ def dense_range_diagnostics(
         rank=rank,
         min_nonzero_eig=min_nonzero,
         kernel_basis=u[:, ~keep],
-        eigenvalues=w,
         range_basis=u[:, keep],
     )

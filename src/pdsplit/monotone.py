@@ -63,7 +63,6 @@ class MonotoneOp:
     """
 
     resolvent: Callable[[Precond, np.ndarray], np.ndarray]
-    descriptor: str
 
 
 def prox_l1(x: np.ndarray, kappa) -> np.ndarray:
@@ -174,7 +173,7 @@ def dual_resolvent(
 
 def zero_operator() -> MonotoneOp:
     """The zero map; its resolvent is the identity."""
-    return MonotoneOp(lambda p, x: x, "zero")
+    return MonotoneOp(lambda p, x: x)
 
 
 def affine_operator(slope: float, intercept) -> MonotoneOp:
@@ -195,7 +194,7 @@ def affine_operator(slope: float, intercept) -> MonotoneOp:
         rhs = x - m @ np.broadcast_to(c, (p.dim,))
         return np.linalg.solve(np.eye(p.dim) + slope * m, rhs)
 
-    return MonotoneOp(res, f"affine(slope={slope})")
+    return MonotoneOp(res)
 
 
 def monotone_linear(mat: np.ndarray, offset=None) -> MonotoneOp:
@@ -212,7 +211,7 @@ def monotone_linear(mat: np.ndarray, offset=None) -> MonotoneOp:
         rhs = x if c is None else x - pm @ c
         return np.linalg.solve(np.eye(p.dim) + pm @ m, rhs)
 
-    return MonotoneOp(res, "linear")
+    return MonotoneOp(res)
 
 
 def l1_operator(alpha: float) -> MonotoneOp:
@@ -223,7 +222,7 @@ def l1_operator(alpha: float) -> MonotoneOp:
     def res(p: Precond, x: np.ndarray) -> np.ndarray:
         return prox_l1(x, alpha * _diagonal(p, "l1"))
 
-    return MonotoneOp(res, f"l1(alpha={alpha})")
+    return MonotoneOp(res)
 
 
 def box_operator(lo: float, hi: float) -> MonotoneOp:
@@ -235,7 +234,7 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
         _diagonal(p, "box")
         return project_box(x, lo, hi)
 
-    return MonotoneOp(res, f"box[{lo},{hi}]")
+    return MonotoneOp(res)
 
 
 def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:
@@ -249,4 +248,4 @@ def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:
             )
         return q.resolvent(tau, x)
 
-    return MonotoneOp(res, "quadratic-data-fit")
+    return MonotoneOp(res)

@@ -1,13 +1,17 @@
 """Relaxed primal-dual splitting with critical preconditioners.
 
-Evaluates the joint primal-dual resolvent, runs the relaxed iteration
-through the generic fixed-point engine, estimates the step-size
-condition by power iteration and certifies approximate zeros through
-the saddle-seminorm residual.
+``PDProblem`` owns the flat state layout and the saddle-point metric
+V: its action, its seminorm and, at desk scale, its dense matrix.
+This module evaluates the joint primal-dual resolvent, runs the
+relaxed iteration through the generic fixed-point engine, estimates
+the step-size condition by power iteration, monitors Fejer distances
+and displacements in the V-seminorm and certifies approximate zeros
+through the seminorm residual.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -15,17 +19,18 @@ import numpy as np
 
 from .km import KMResult, Monitor, RelaxationSchedule, km_iterate
 from .linalg import (
+    DENSE_DIM_LIMIT,
     LinOp,
     Precond,
-    SaddleOperator,
     as_flat,
     power_iteration_sqnorm,
-    seminorm,
 )
 from .monotone import MonotoneOp, dual_resolvent
 
 __all__ = [
     "PDProblem",
+    "FejerMonitor",
+    "DisplacementMonitor",
     "StepCondition",
     "StepSizeConditionError",
     "pd_resolvent",
@@ -51,6 +56,14 @@ class PDProblem:
     preconditioner per block.  The iteration state is one flat array:
     x in ``[:dim]``, then u_i in ``dual_slices[i]``; ``sigma_invs``
     holds each dual preconditioner's inverse, built once.
+
+    The saddle-point metric on that state is
+
+        V (x, u) = (Y^-1 x - sum_i L_i^* u_i, (S_i^-1 u_i - L_i x)_i),
+
+    positive semidefinite exactly when the step-size condition holds;
+    at critical step sizes it has a nontrivial kernel and the induced
+    quantity is only a seminorm.
     """
 
     A: MonotoneOp
@@ -88,12 +101,60 @@ class PDProblem:
     def total_dim(self) -> int:
         return self.dual_slices[-1].stop if self.dual_slices else self.dim
 
-    def saddle_operator(self) -> SaddleOperator:
-        return SaddleOperator(
-            self.upsilon,
-            self.sigmas,
-            tuple(l for _, l in self.blocks),
-        )
+    def _check_state(self, z: np.ndarray) -> None:
+        if z.size != self.total_dim:
+            raise ValueError(
+                f"state dim {z.size} does not match problem dim "
+                f"{self.total_dim}"
+            )
+
+    def metric(self, z: np.ndarray) -> np.ndarray:
+        """V z for a flat state z."""
+        self._check_state(z)
+        n = self.dim
+        x = z[:n]
+        out = np.empty_like(z)
+        acc = np.zeros_like(x)
+        for (_, l), s, sl in zip(self.blocks, self.sigmas, self.dual_slices):
+            u = z[sl]
+            acc += l.adjoint(u)
+            out[sl] = s.apply_inverse(u) - l.forward(x)
+        out[:n] = self.upsilon.apply_inverse(x) - acc
+        return out
+
+    def seminorm(self, z: np.ndarray) -> float:
+        """sqrt(max(<V z, z>, 0)) for a flat state z.
+
+        Raises if the quadratic form is significantly negative relative
+        to ||z||^2, which indicates the step-size condition is violated
+        and V is not monotone.
+        """
+        quad = float(z @ self.metric(z))
+        nsq = float(z @ z)
+        if quad < -1e-10 * nsq:
+            raise ValueError(
+                f"quadratic form is negative ({quad:.3e} for "
+                f"||z||^2={nsq:.3e}); step-size condition violated"
+            )
+        return math.sqrt(max(quad, 0.0))
+
+    def metric_matrix(self) -> np.ndarray:
+        """V as a dense matrix in the state layout; desk scale only."""
+        n, total = self.dim, self.total_dim
+        if total > DENSE_DIM_LIMIT:
+            raise ValueError(
+                f"total dimension {total} exceeds dense limit "
+                f"{DENSE_DIM_LIMIT}"
+            )
+        mat = np.zeros((total, total))
+        mat[:n, :n] = self.upsilon.inverse().as_matrix()
+        for (_, l), s_inv, sl in zip(self.blocks, self.sigma_invs,
+                                     self.dual_slices):
+            lm = l.as_matrix()
+            mat[:n, sl] = -lm.T
+            mat[sl, :n] = -lm
+            mat[sl, sl] = s_inv.as_matrix()
+        return mat
 
     def initial_state(self, x0=None) -> np.ndarray:
         """Flat state with primal block ``x0`` (an array or an HVector;
@@ -113,14 +174,10 @@ def pd_resolvent(p: PDProblem, z: np.ndarray) -> np.ndarray:
         p_new  = J_{YA}(x - Y sum_i L_i^* u_i)
         q_i    = J_{S_i B_i^{-1}}(u_i + S_i L_i (2 p_new - x))
 
-    The result depends on z only through the saddle operator applied to
-    z, so kernel components of critical configurations are ignored
-    automatically.
+    The result depends on z only through V z (``p.metric``), so kernel
+    components of critical configurations are ignored automatically.
     """
-    if z.size != p.total_dim:
-        raise ValueError(
-            f"state dim {z.size} does not match problem dim {p.total_dim}"
-        )
+    p._check_state(z)
     n = p.dim
     x = z[:n]
     acc = np.zeros_like(x)
@@ -213,9 +270,61 @@ def pd_iterate(
 
 
 def zero_inclusion_residual(p: PDProblem, z: np.ndarray) -> float:
-    """Saddle-seminorm distance between z and its resolvent image.
+    """V-seminorm distance between z and its resolvent image.
 
     Zero exactly when the shadow of z is fixed, in which case one more
     resolvent application yields a solution of the inclusion.
     """
-    return seminorm(p.saddle_operator(), pd_resolvent(p, z) - z)
+    return p.seminorm(pd_resolvent(p, z) - z)
+
+
+class FejerMonitor(Monitor):
+    """Distance to an anchor in ``p``'s V-seminorm, per iterate.
+
+    The anchor must be (numerically) fixed for the shadow of the
+    iteration map, e.g. the limit of a high-precision pre-solve; the
+    seminorm ignores kernel components, so the anchor's shadow is what
+    matters.
+    """
+
+    def __init__(self, p: PDProblem, anchor):
+        self.p = p
+        self.anchor = as_flat(anchor)
+        self.values: list[float] = []
+
+    def start(self, z0) -> None:
+        self.values.append(self.p.seminorm(z0 - self.anchor))
+
+    def observe(self, n, z, sz, z_next) -> None:
+        self.values.append(self.p.seminorm(z_next - self.anchor))
+
+    @property
+    def max_single_step_increase(self) -> float:
+        if len(self.values) < 2:
+            return 0.0
+        return max(
+            b - a for a, b in zip(self.values[:-1], self.values[1:])
+        )
+
+
+class DisplacementMonitor(Monitor):
+    """V-seminorm of the displacement S z_n - z_n, per iteration."""
+
+    def __init__(self, p: PDProblem):
+        self.p = p
+        self.values: list[float] = []
+
+    def observe(self, n, z, sz, z_next) -> None:
+        self.values.append(self.p.seminorm(sz - z))
+
+    @property
+    def initial(self) -> float:
+        return self.values[0]
+
+    @property
+    def final(self) -> float:
+        return self.values[-1]
+
+    @property
+    def ratio(self) -> float:
+        return self.final / self.initial if self.initial != 0.0 else 0.0

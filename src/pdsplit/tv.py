@@ -221,21 +221,23 @@ def add_gaussian_noise(img: ImageGrid, std_rel: float, seed: int) -> ImageGrid:
 def tv_objective(
     x: ImageGrid | np.ndarray,
     R: LinOp,
-    b: HVector,
+    b: np.ndarray,
     alpha: float,
     grads: tuple[LinOp, LinOp] | None = None,
 ) -> float:
     """Data fit plus anisotropic total variation:
     0.5*||R x - b||^2 + alpha * (||D1 x||_1 + ||D2 x||_1).
 
-    ``x`` is an ImageGrid or its n1 x n2 pixel array.  ``grads`` is the
-    (D1, D2) pair of ``build_gradient_ops`` for that grid; it is built
-    here when omitted, so callers evaluating many iterates pass it.
+    ``x`` is an ImageGrid or its n1 x n2 pixel array, and ``b`` the
+    observation's pixel array (any shape with n1*n2 entries).
+    ``grads`` is the (D1, D2) pair of ``build_gradient_ops`` for that
+    grid; it is built here when omitted, so callers evaluating many
+    iterates pass it.
     """
     pixels = x.pixels if isinstance(x, ImageGrid) else x
     d1, d2 = grads if grads is not None else build_gradient_ops(*pixels.shape)
     xv = pixels.ravel()
-    resid = R.forward(xv) - b.data
+    resid = R.forward(xv) - b.ravel()
     tv = np.abs(d1.forward(xv)).sum() + np.abs(d2.forward(xv)).sum()
     return 0.5 * float(resid @ resid) + alpha * float(tv)
 
@@ -344,8 +346,7 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
         raise ValueError("blur operator does not match the image grid")
     check_config(cfg, observed.shape)
     d1, d2 = build_gradient_ops(n1, n2)
-    b = observed.as_hvector()
-    quad = QuadraticDataFit(R, b)
+    quad = QuadraticDataFit(R, observed.as_hvector())
     return PDProblem(
         A=data_fit_operator(quad),
         blocks=(
@@ -363,26 +364,12 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
 
 
 @dataclass
-class TVRunResult:
-    image: ImageGrid
-    result: KMResult
-    problem: PDProblem
+class TVRunResult(KMResult):
+    """A deblurring run: the KM result plus the restored image and the
+    problem that was solved."""
 
-    @property
-    def converged(self) -> bool:
-        return self.result.converged
-
-    @property
-    def iterations(self) -> int:
-        return self.result.iterations
-
-    @property
-    def trace(self):
-        return self.result.trace
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.result.state
+    image: ImageGrid | None = None
+    problem: PDProblem | None = None
 
 
 def run_tv_solver(
@@ -396,7 +383,7 @@ def run_tv_solver(
 
     Starts from the observed image with zero duals and stops when the
     relative primal-dual step drops below ``cfg.eps`` (or a step turns
-    non-finite; ``result.stop_reason`` says which).  The returned
+    non-finite; ``stop_reason`` says which).  The returned
     image is the final (relaxed) primal iterate; it may leave the box
     by a relaxation-sized margin mid-run, while one extra resolvent
     application lands inside it.
@@ -406,7 +393,7 @@ def run_tv_solver(
     sched = RelaxationSchedule.constant(cfg.relaxation)
     objective_fn = None
     if record_objective:
-        b = observed.as_hvector()
+        b = observed.pixels
         alpha = cfg.alpha
         shape = observed.shape
         n = problem.dim
@@ -421,7 +408,7 @@ def run_tv_solver(
     )
     restored = ImageGrid(result.state[:problem.dim].reshape(observed.shape),
                          observed.peak)
-    return TVRunResult(image=restored, result=result, problem=problem)
+    return TVRunResult(**vars(result), image=restored, problem=problem)
 
 
 @dataclass(frozen=True)
@@ -502,7 +489,7 @@ def _sweep_cells(grid: SweepGrid, d1_sq: float, d2_sq: float):
     return cells
 
 
-def _run_cell(cfg, observed, R, clean, b):
+def _run_cell(cfg, observed, R, clean):
     """One sweep row; a cell that raises gives a NaN row whose
     ``error`` holds the exception class and message."""
     row = {
@@ -520,8 +507,8 @@ def _run_cell(cfg, observed, R, clean, b):
         row.update(
             iterations=run.iterations,
             converged=run.converged,
-            final_residual=run.result.final_residual,
-            objective=tv_objective(run.image, R, b, cfg.alpha),
+            final_residual=run.final_residual,
+            objective=tv_objective(run.image, R, observed.pixels, cfg.alpha),
             psnr=psnr(run.image, clean),
             error="",
         )
@@ -576,21 +563,14 @@ def sweep(
                     noise_std_rel=instance.noise_std_rel,
                 )
                 jobs.append(cfg)
-    b_cache = {
-        seed: observations[seed].as_hvector() for seed in seeds
-    }
     if workers is None or workers <= 1:
         rows = [
-            _run_cell(cfg, observations[cfg.seed], R, clean, b_cache[cfg.seed])
-            for cfg in jobs
+            _run_cell(cfg, observations[cfg.seed], R, clean) for cfg in jobs
         ]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _run_cell, cfg, observations[cfg.seed], R, clean,
-                    b_cache[cfg.seed],
-                )
+                pool.submit(_run_cell, cfg, observations[cfg.seed], R, clean)
                 for cfg in jobs
             ]
             rows = [f.result() for f in futures]

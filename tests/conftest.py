@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pdsplit import (
-    SaddleOperator,
+    PDProblem,
     identity_op,
     matrix_op,
     scalar_precond,
+    zero_operator,
 )
 
 
@@ -14,8 +15,10 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_state(rng, dims):
-    """Random flat primal-dual state with the given block dimensions."""
+def random_state(rng, p):
+    """Random flat state in the layout of the primal-dual problem ``p``,
+    drawn one block at a time."""
+    dims = [p.dim] + [sl.stop - sl.start for sl in p.dual_slices]
     return np.concatenate([rng.standard_normal(d) for d in dims])
 
 
@@ -32,25 +35,29 @@ def adjoint_gap(op, rng, trials=100):
     return worst
 
 
-def identity_saddle(dim=1):
-    """Critical saddle operator: identity preconditioners and coupling."""
-    return SaddleOperator(
-        scalar_precond(1.0, dim),
-        (scalar_precond(1.0, dim),),
-        (identity_op(dim),),
+def metric_problem(upsilon, sigma, coupling):
+    """One-block problem with zero operators, for testing its metric V."""
+    return PDProblem(
+        A=zero_operator(),
+        blocks=((zero_operator(), coupling),),
+        upsilon=upsilon,
+        sigmas=(sigma,),
     )
 
 
+def identity_saddle(dim=1):
+    """Critical metric: identity preconditioners and coupling."""
+    return metric_problem(scalar_precond(1.0, dim), scalar_precond(1.0, dim),
+                          identity_op(dim))
+
+
 def random_saddle(rng, n, m, scale=1.0):
-    """Saddle operator with random coupling scaled to satisfy the
-    step-size condition with the given margin."""
+    """Metric with random coupling scaled to satisfy the step-size
+    condition with the given margin."""
     mat = rng.standard_normal((m, n))
     tau = float(rng.uniform(0.5, 1.5))
     sig = float(rng.uniform(0.5, 1.5))
     norm = np.linalg.norm(mat, 2)
     mat *= scale / (norm * np.sqrt(tau * sig))
-    return SaddleOperator(
-        scalar_precond(tau, n),
-        (scalar_precond(sig, m),),
-        (matrix_op(mat),),
-    )
+    return metric_problem(scalar_precond(tau, n), scalar_precond(sig, m),
+                          matrix_op(mat))

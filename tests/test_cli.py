@@ -133,6 +133,8 @@ class TestSolveTV:
         ("sweep", {"seeds = 0": "seeds = 0 -3"}),
         ("diagnose", {"n1 = 32": "n1 = 0",
                       "[solver]\n": "[solver]\nproblem = identity\n"}),
+        # sweep rows score PSNR against the clean synthetic image
+        ("sweep", {"peak = 1.0\n": "peak = 1.0\nsource = missing.pgm\n"}),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):

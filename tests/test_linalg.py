@@ -6,7 +6,6 @@ import pytest
 from pdsplit import (
     HVector,
     PowerIterationError,
-    SaddleOperator,
     UnsupportedPreconditionerError,
     box_operator,
     cocoercivity_constant,
@@ -20,11 +19,16 @@ from pdsplit import (
     power_iteration_sqnorm,
     scalar_precond,
     scaled_identity_op,
-    seminorm,
 )
 from pdsplit.tv import build_gaussian_blur, build_gradient_ops
 
-from conftest import adjoint_gap, identity_saddle, random_saddle, random_state
+from conftest import (
+    adjoint_gap,
+    identity_saddle,
+    metric_problem,
+    random_saddle,
+    random_state,
+)
 
 
 class TestHVector:
@@ -44,6 +48,13 @@ class TestHVector:
     def test_grid_roundtrip(self):
         a = hvector(np.arange(6.0), dims=(2, 3))
         assert a.as_grid().shape == (2, 3)
+
+    def test_source_writes_do_not_reach_the_copy(self):
+        x = np.array([1.0, 2.0])
+        h, g = hvector(x), HVector(x, (2,))
+        x[0] = np.nan
+        assert h.data[0] == 1.0 and g.data[0] == 1.0
+        assert x.flags.writeable
 
 
 class TestPrecond:
@@ -78,10 +89,10 @@ class TestPrecond:
         same(p.inverse().apply(v), ref.inverse().apply(v))
         same(p.as_matrix(), ref.as_matrix())
         assert p.strong_monotonicity_constant == pytest.approx(2.5)
-        coupling = (matrix_op(rng.standard_normal((m, n))),)
-        same(SaddleOperator(p, (make(0.7, m),), coupling).as_matrix(),
-             SaddleOperator(ref, (scalar_precond(0.7, m),),
-                            coupling).as_matrix())
+        coupling = matrix_op(rng.standard_normal((m, n)))
+        same(metric_problem(p, make(0.7, m), coupling).metric_matrix(),
+             metric_problem(ref, scalar_precond(0.7, m),
+                            coupling).metric_matrix())
         x = rng.uniform(-3.0, 3.0, n)
         for op in (l1_operator(0.8), box_operator(-1.0, 1.0)):
             if p.diag is None:
@@ -101,6 +112,12 @@ class TestPrecond:
             assert p.apply(x) @ x >= (
                 p.strong_monotonicity_constant * x @ x - 1e-12
             )
+
+    def test_keeps_a_copy_of_its_matrix(self):
+        m = np.diag([1.0, 2.0])
+        p = matrix_precond(m)
+        m[0, 0] = 5.0
+        assert p.matrix[0, 0] == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -177,83 +194,80 @@ class TestPowerIteration:
 
 class TestSaddleOperator:
     def test_kernel_vector_maps_to_zero(self, rng):
-        v_op = identity_saddle(4)
+        p = identity_saddle(4)
         v = rng.standard_normal(4)
-        out = v_op.apply(np.concatenate((v, v)))
+        out = p.metric(np.concatenate((v, v)))
         assert np.linalg.norm(out[:4]) == pytest.approx(0.0, abs=1e-15)
         assert np.linalg.norm(out[4:]) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_evaluation(self):
-        v_op = identity_saddle(1)
-        out = v_op.apply(np.array([1.0, 0.0]))
+        p = identity_saddle(1)
+        out = p.metric(np.array([1.0, 0.0]))
         assert out[0] == 1.0
         assert out[1] == -1.0
 
     def test_self_adjoint_on_random_pairs(self, rng):
-        v_op = random_saddle(rng, 6, 4, scale=0.9)
+        p = random_saddle(rng, 6, 4, scale=0.9)
         for _ in range(50):
-            z = random_state(rng, v_op.block_dims)
-            w = random_state(rng, v_op.block_dims)
-            lhs = v_op.apply(z) @ w
-            rhs = z @ v_op.apply(w)
+            z = random_state(rng, p)
+            w = random_state(rng, p)
+            lhs = p.metric(z) @ w
+            rhs = z @ p.metric(w)
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
     def test_monotone_under_condition(self, rng):
         for scale in (0.5, 0.9, 1.0):
-            v_op = random_saddle(rng, 5, 3, scale=scale)
+            p = random_saddle(rng, 5, 3, scale=scale)
             for _ in range(1000):
-                z = random_state(rng, v_op.block_dims)
-                assert v_op.quad_form(z) >= -1e-10 * (z @ z)
+                z = random_state(rng, p)
+                assert z @ p.metric(z) >= -1e-10 * (z @ z)
 
     def test_dimension_mismatch(self, rng):
-        v_op = identity_saddle(3)
-        z = random_state(rng, (3, 4))
+        p = identity_saddle(3)
+        z = rng.standard_normal(7)
         with pytest.raises(ValueError):
-            v_op.apply(z)
+            p.metric(z)
 
 
 class TestSeminorm:
     def test_kernel_vector_gives_zero(self, rng):
-        v_op = identity_saddle(3)
+        p = identity_saddle(3)
         v = rng.standard_normal(3)
-        assert seminorm(v_op, np.concatenate((v, v))) == pytest.approx(
+        assert p.seminorm(np.concatenate((v, v))) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_hand_evaluated_quadratic_form(self):
-        v_op = identity_saddle(1)
+        p = identity_saddle(1)
         z = np.array([1.0, 0.0])
         # V = [[1, -1], [-1, 1]] acting on (1, 0): quadratic form is 1
-        assert seminorm(v_op, z) == pytest.approx(1.0)
+        assert p.seminorm(z) == pytest.approx(1.0)
 
     def test_homogeneity(self, rng):
-        v_op = random_saddle(rng, 4, 4, scale=0.8)
-        z = random_state(rng, v_op.block_dims)
-        assert seminorm(v_op, 2.0 * z) == pytest.approx(
-            2.0 * seminorm(v_op, z), rel=1e-12
+        p = random_saddle(rng, 4, 4, scale=0.8)
+        z = random_state(rng, p)
+        assert p.seminorm(2.0 * z) == pytest.approx(
+            2.0 * p.seminorm(z), rel=1e-12
         )
 
     def test_kernel_shift_invariance(self, rng):
-        v_op = identity_saddle(2)
-        diag = dense_range_diagnostics(v_op)
-        z = random_state(rng, v_op.block_dims)
-        base = seminorm(v_op, z)
+        p = identity_saddle(2)
+        diag = dense_range_diagnostics(p.metric_matrix())
+        z = random_state(rng, p)
+        base = p.seminorm(z)
         for j in range(diag.kernel_basis.shape[1]):
             k = diag.kernel_basis[:, j]
-            assert seminorm(v_op, z + k) == pytest.approx(
+            assert p.seminorm(z + k) == pytest.approx(
                 base, abs=1e-9 * (1 + base)
             )
 
     def test_raises_on_indefinite_form(self, rng):
         # violated condition: coupling norm far above critical
-        v_op = SaddleOperator(
-            scalar_precond(1.0, 2),
-            (scalar_precond(1.0, 2),),
-            (scaled_identity_op(2.0, 2),),
-        )
+        p = metric_problem(scalar_precond(1.0, 2), scalar_precond(1.0, 2),
+                           scaled_identity_op(2.0, 2))
         z = np.array([1.0, 0.0, 1.0, 0.0])
         with pytest.raises(ValueError):
-            seminorm(v_op, z)
+            p.seminorm(z)
 
 
 class TestCocoercivity:
@@ -270,20 +284,18 @@ class TestCocoercivity:
         n = 4
         mat = rng.standard_normal((n, n))
         mat *= 1.0 / (np.linalg.norm(mat, 2) * math.sqrt(tau * sig))
-        v_op = SaddleOperator(
-            scalar_precond(tau, n), (scalar_precond(sig, n),),
-            (matrix_op(mat),),
-        )
+        p = metric_problem(scalar_precond(tau, n), scalar_precond(sig, n),
+                           matrix_op(mat))
         beta = cocoercivity_constant(tau, sig)
         for _ in range(1000):
-            z = random_state(rng, v_op.block_dims)
-            vz = v_op.apply(z)
+            z = random_state(rng, p)
+            vz = p.metric(z)
             assert z @ vz >= beta * (vz @ vz) - 1e-9
 
 
 class TestDenseRangeDiagnostics:
     def test_critical_identity_case(self):
-        diag = dense_range_diagnostics(identity_saddle(1))
+        diag = dense_range_diagnostics(identity_saddle(1).metric_matrix())
         assert diag.rank == 1
         assert diag.min_nonzero_eig == pytest.approx(2.0)
         kb = diag.kernel_basis
@@ -292,8 +304,8 @@ class TestDenseRangeDiagnostics:
                                    [1 / math.sqrt(2)] * 2, rtol=1e-12)
 
     def test_strict_condition_gives_full_rank(self, rng):
-        v_op = random_saddle(rng, 5, 3, scale=0.8)
-        diag = dense_range_diagnostics(v_op)
+        p = random_saddle(rng, 5, 3, scale=0.8)
+        diag = dense_range_diagnostics(p.metric_matrix())
         assert diag.rank == 8
         assert diag.kernel_basis.shape[1] == 0
 
@@ -308,15 +320,15 @@ class TestDenseRangeDiagnostics:
             dense_range_diagnostics(np.zeros((10, 10)), max_dim=5)
 
     def test_range_projection_idempotent(self, rng):
-        v_op = identity_saddle(2)
-        diag = dense_range_diagnostics(v_op)
+        p = identity_saddle(2)
+        diag = dense_range_diagnostics(p.metric_matrix())
         vec = rng.standard_normal(4)
         proj = diag.project_range(vec)
         np.testing.assert_allclose(diag.project_range(proj), proj,
                                    atol=1e-12)
         # projection of V z equals V z (it already lies in the range)
-        z = random_state(rng, v_op.block_dims)
-        vz = v_op.apply(z)
+        z = random_state(rng, p)
+        vz = p.metric(z)
         np.testing.assert_allclose(diag.project_range(vz), vz, atol=1e-10)
 
 

@@ -85,10 +85,9 @@ class TestPDResolvent:
             upsilon=scalar_precond(1.0, n),
             sigmas=(scalar_precond(1.0, n),),
         )
-        v_op = p.saddle_operator()
-        diag = dense_range_diagnostics(v_op)
+        diag = dense_range_diagnostics(p.metric_matrix())
         assert diag.kernel_basis.shape[1] > 0
-        z = random_state(rng, v_op.block_dims)
+        z = random_state(rng, p)
         base = pd_resolvent(p, z)
         for j in range(diag.kernel_basis.shape[1]):
             shifted = pd_resolvent(p, z + diag.kernel_basis[:, j])
@@ -99,11 +98,10 @@ class TestPDResolvent:
     def test_shadow_firm_nonexpansiveness(self, rng):
         for _ in range(20):
             p = random_instance(rng)
-            v_op = p.saddle_operator()
-            z = random_state(rng, v_op.block_dims)
-            w = random_state(rng, v_op.block_dims)
+            z = random_state(rng, p)
+            w = random_state(rng, p)
             jz, jw = pd_resolvent(p, z), pd_resolvent(p, w)
-            inner = (jz - jw) @ v_op.apply((z - jz) - (w - jw))
+            inner = (jz - jw) @ p.metric((z - jz) - (w - jw))
             assert inner >= -1e-9
 
     def test_block_mismatch(self, rng):
@@ -228,7 +226,7 @@ class TestPDIterate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_primal_resolvent_stops_run(self):
-        inf_op = MonotoneOp(lambda p, x: np.full_like(x, np.inf), "inf")
+        inf_op = MonotoneOp(lambda p, x: np.full_like(x, np.inf))
         p = PDProblem(
             A=inf_op,
             blocks=((zero_operator(), identity_op(2)),),
@@ -251,8 +249,7 @@ class TestZeroInclusionResidual:
 
     def test_zero_after_kernel_shift(self, rng):
         p = scalar_instance()
-        v_op = p.saddle_operator()
-        diag = dense_range_diagnostics(v_op)
+        diag = dense_range_diagnostics(p.metric_matrix())
         z = np.array([0.5, 0.5])
         for j in range(diag.kernel_basis.shape[1]):
             k = diag.kernel_basis[:, j]

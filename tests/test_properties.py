@@ -17,9 +17,8 @@ from pdsplit import (
 
 fraction = st.floats(0.05, 0.95)
 
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
+# random TV deblurring problems at critical step sizes, 3 to 8 per side
+critical_tv = given(
     n1=st.integers(3, 8),
     n2=st.integers(3, 8),
     tau=st.floats(0.05, 3.0),
@@ -27,24 +26,60 @@ fraction = st.floats(0.05, 0.95)
     gamma2=fraction,
     seed=st.integers(0, 2**32 - 1),
 )
+examples = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+def critical_problem(n1, n2, tau, gamma1, gamma2, rng):
+    sigmas = boundary_sigmas(tau, gamma1, gamma2, gradient_norm_sq(n1),
+                             gradient_norm_sq(n2))
+    cfg = TVConfig(tau, *sigmas, alpha=0.05)
+    observed = ImageGrid(rng.uniform(0.0, 1.0, (n1, n2)), peak=1.0)
+    return build_problem(cfg, observed, build_gaussian_blur(n1, n2, 3, 1.0))
+
+
+def random_state(rng, n):
+    """Primal image in [0, 1], three standard normal dual blocks."""
+    return np.concatenate([rng.uniform(0.0, 1.0, n)]
+                          + [rng.standard_normal(n) for _ in range(3)])
+
+
+@examples
+@critical_tv
 def test_resolvent_ignores_kernel_at_critical_steps(n1, n2, tau, gamma1,
                                                     gamma2, seed):
     # at critical step sizes V has a kernel, and the primal-dual
     # resolvent depends on z only through V z
     rng = np.random.default_rng(seed)
-    sigmas = boundary_sigmas(tau, gamma1, gamma2, gradient_norm_sq(n1),
-                             gradient_norm_sq(n2))
-    cfg = TVConfig(tau, *sigmas, alpha=0.05)
-    observed = ImageGrid(rng.uniform(0.0, 1.0, (n1, n2)), peak=1.0)
-    problem = build_problem(cfg, observed, build_gaussian_blur(n1, n2, 3, 1.0))
-    v_op = problem.saddle_operator()
-    kernel = dense_range_diagnostics(v_op).kernel_basis
+    problem = critical_problem(n1, n2, tau, gamma1, gamma2, rng)
+    kernel = dense_range_diagnostics(problem.metric_matrix()).kernel_basis
     assert kernel.shape[1] >= 1
 
-    n = n1 * n2
-    z = np.concatenate([rng.uniform(0.0, 1.0, n)]
-                       + [rng.standard_normal(n) for _ in range(3)])
+    z = random_state(rng, n1 * n2)
     want = pd_resolvent(problem, z)
     for k in kernel.T:
         got = pd_resolvent(problem, z + np.linalg.norm(z) * k)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@examples
+@critical_tv
+def test_metric_and_resolvent_at_critical_steps(n1, n2, tau, gamma1, gamma2,
+                                                seed):
+    # V is self-adjoint and monotone, and the resolvent J is firmly
+    # nonexpansive in the V-seminorm:
+    # <Jz - Jw, V((z - Jz) - (w - Jw))> >= 0
+    rng = np.random.default_rng(seed)
+    problem = critical_problem(n1, n2, tau, gamma1, gamma2, rng)
+    norm = np.linalg.norm
+    for _ in range(5):
+        z = random_state(rng, n1 * n2)
+        w = random_state(rng, n1 * n2)
+        vz, vw = problem.metric(z), problem.metric(w)
+        scale = norm(vz) * norm(w) + norm(z) * norm(vw)
+        assert abs(vz @ w - z @ vw) <= 1e-12 * scale
+        assert z @ vz >= -1e-10 * (z @ z)
+
+        jz, jw = pd_resolvent(problem, z), pd_resolvent(problem, w)
+        step = problem.metric((z - jz) - (w - jw))
+        assert (jz - jw) @ step >= -1e-10 * norm(jz - jw) * norm(step)
