@@ -13,7 +13,6 @@ from .linalg import (
     RangeDiagnostics,
     PowerIterationError,
     as_flat,
-    cocoercivity_constant,
     dense_range_diagnostics,
     diagonal_precond,
     hvector,
@@ -22,7 +21,6 @@ from .linalg import (
     matrix_precond,
     power_iteration_sqnorm,
     scalar_precond,
-    scaled_identity_op,
 )
 from .monotone import (
     MonotoneOp,
@@ -45,7 +43,6 @@ from .km import (
     Monitor,
     RelaxationSchedule,
     km_iterate,
-    residual_rel,
 )
 from .primal_dual import (
     DisplacementMonitor,

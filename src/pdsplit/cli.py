@@ -5,6 +5,10 @@ output), ``sweep`` (step-size/relaxation study to CSV), ``drs-check``
 (sequence-equivalence suite) and ``diagnose`` (step-size condition and
 small-scale metric diagnostics).
 
+``solve-tv``, ``sweep`` and ``diagnose`` read the TV experiment the
+same way: ``_INSTANCE_KEYS`` maps config keys onto ``tv.TVInstance``,
+whose field defaults and checks are the only ones.
+
 Exit codes: 0 success, 1 configuration error, 2 non-convergence
 (including a run stopped by a non-finite iterate).
 Configs are flat INI key/value files with sections; unknown keys are
@@ -18,6 +22,7 @@ import configparser
 import csv
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +43,7 @@ from .tv import (
     ImageGrid,
     SweepGrid,
     SWEEP_COLUMNS,
-    TVConfig,
     TVInstance,
-    add_gaussian_noise,
     boundary_sigmas,
     build_gaussian_blur,
     build_problem,
@@ -50,7 +53,6 @@ from .tv import (
     psnr,
     run_tv_solver,
     sweep,
-    synthetic_image,
     tv_objective,
 )
 
@@ -134,47 +136,72 @@ def write_sweep_csv(path, rows) -> None:
             ])
 
 
+# the config keys of the TV experiment, by the TVInstance field each
+# sets; a missing key keeps that field's default
+_INSTANCE_KEYS = {
+    ("image", "n1"): "n1",
+    ("image", "n2"): "n2",
+    ("image", "peak"): "peak",
+    ("blur", "size"): "blur_size",
+    ("blur", "std"): "blur_std",
+    ("noise", "std_rel"): "noise_std_rel",
+    ("solver", "alpha"): "alpha",
+    ("solver", "eps"): "eps",
+    ("solver", "max_iter"): "max_iter",
+}
+
+
+def _instance(cp: configparser.ConfigParser, overrides: argparse.Namespace,
+              **fixed) -> TVInstance:
+    """The experiment a config describes: its ``_INSTANCE_KEYS``, then
+    ``--eps`` and ``--max-iter``, then the fields in ``fixed``."""
+    kinds = {f.name: type(f.default) for f in fields(TVInstance)}
+    kwargs = {
+        name: kinds[name](cp[section][key])
+        for (section, key), name in _INSTANCE_KEYS.items()
+        if cp.has_option(section, key)
+    }
+    for name in ("eps", "max_iter"):
+        if getattr(overrides, name) is not None:
+            kwargs[name] = getattr(overrides, name)
+    return TVInstance(**{**kwargs, **fixed})
+
+
+def _out_dir(cp: configparser.ConfigParser,
+             args: argparse.Namespace) -> Path:
+    return Path(args.out_dir
+                or cp.get("output", "out_dir", fallback="runs"))
+
+
 def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     """Build (cfg, observed, R, clean_or_None) from a config file."""
-    img = cp["image"] if cp.has_section("image") else {}
-    peak = float(img.get("peak", 255.0))
-    source = img.get("source", "synthetic")
+    sol = cp["solver"] if cp.has_section("solver") else {}
+    tau = float(sol.get("tau", 0.2))
+    lam = float(sol.get("lambda", 1.0))
+    seed = int(sol.get("seed", 0))
+    if overrides.relaxation is not None:
+        lam = overrides.relaxation
+    if overrides.seed is not None:
+        seed = overrides.seed
+
+    source = cp.get("image", "source", fallback="synthetic")
     if source == "synthetic":
-        n1 = int(img.get("n1", 64))
-        n2 = int(img.get("n2", 64))
+        instance = _instance(cp, overrides)
+        clean, R, observed = instance.observe(seed)
     else:
         pixels, maxval = read_pgm(source)
         n1, n2 = pixels.shape
         for key, n in (("n1", n1), ("n2", n2)):
-            if key in img and int(img[key]) != n:
+            if cp.has_option("image", key) and int(cp["image"][key]) != n:
                 raise ConfigError(
-                    f"{key} = {img[key]} contradicts the {n1}x{n2} "
+                    f"{key} = {cp['image'][key]} contradicts the {n1}x{n2} "
                     f"image {source!r}"
                 )
-
-    blur = cp["blur"] if cp.has_section("blur") else {}
-    size = int(blur.get("size", 9))
-    std = float(blur.get("std", 4.0))
-
-    noise = cp["noise"] if cp.has_section("noise") else {}
-    std_rel = float(noise.get("std_rel", 1e-3))
-
-    sol = cp["solver"] if cp.has_section("solver") else {}
-    tau = float(sol.get("tau", 0.2))
-    alpha = float(sol.get("alpha", 0.01))
-    lam = float(sol.get("lambda", 1.0))
-    eps = float(sol.get("eps", 1e-8))
-    max_iter = int(sol.get("max_iter", 100000))
-    seed = int(sol.get("seed", 0))
-
-    if overrides.relaxation is not None:
-        lam = overrides.relaxation
-    if overrides.eps is not None:
-        eps = overrides.eps
-    if overrides.max_iter is not None:
-        max_iter = overrides.max_iter
-    if overrides.seed is not None:
-        seed = overrides.seed
+        instance = _instance(cp, overrides, n1=n1, n2=n2, peak=float(maxval))
+        R = build_gaussian_blur(n1, n2, instance.blur_size,
+                                instance.blur_std)
+        observed = ImageGrid(pixels, instance.peak)
+        clean = None
 
     mode = sol.get("stepsizes")
     if mode is None:
@@ -184,8 +211,8 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
             mode = "gamma"
         else:
             mode = "equal"
-    d1_sq = gradient_norm_sq(n1)
-    d2_sq = gradient_norm_sq(n2)
+    d1_sq = gradient_norm_sq(instance.n1)
+    d2_sq = gradient_norm_sq(instance.n2)
     if mode == "explicit":
         sigmas = (
             float(sol["sigma1"]), float(sol["sigma2"]), float(sol["sigma3"])
@@ -200,22 +227,7 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     else:
         raise ConfigError(f"unknown stepsizes mode {mode!r}")
 
-    cfg = TVConfig(
-        tau=tau, sigma1=sigmas[0], sigma2=sigmas[1], sigma3=sigmas[2],
-        alpha=alpha, relaxation=lam, eps=eps, max_iter=max_iter,
-        seed=seed, blur_size=size, blur_std=std, noise_std_rel=std_rel,
-    )
-
-    R = build_gaussian_blur(n1, n2, size, std)
-    if source == "synthetic":
-        clean = synthetic_image(n1, n2, peak)
-        blurred = ImageGrid(
-            R.forward(clean.pixels.ravel()).reshape(clean.shape), peak
-        )
-        observed = add_gaussian_noise(blurred, std_rel, seed)
-    else:
-        observed = ImageGrid(pixels, float(maxval))
-        clean = None
+    cfg = instance.config(tau, sigmas, lam, seed)
     check_config(cfg, observed.shape)
     return cfg, observed, R, clean
 
@@ -224,14 +236,9 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
         cfg, observed, R, clean = _tv_setup(cp, args)
-        out_dir = Path(
-            args.out_dir
-            or (cp["output"].get("out_dir", "runs")
-                if cp.has_section("output") else "runs")
-        )
+        out_dir = _out_dir(cp, args)
         ascii_format = (
-            cp.has_section("output")
-            and cp["output"].get("format", "P5").upper() == "P2"
+            cp.get("output", "format", fallback="P5").upper() == "P2"
         )
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -261,6 +268,15 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got "
+                              f"{args.workers}")
+        source = cp.get("image", "source", fallback="synthetic")
+        if source != "synthetic":
+            # sweep rows score PSNR against the clean synthetic image
+            raise ConfigError(
+                f"sweep needs the synthetic image, got source {source!r}"
+            )
         sw = cp["sweep"]
         grid = SweepGrid(
             tau_values=_floats(sw.get("tau_values", "0.2")),
@@ -274,36 +290,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         seeds = ((args.seed,) if args.seed is not None
                  else _ints(sw.get("seeds", "0")))
-        if any(seed < 0 for seed in seeds):
-            raise ConfigError(f"seeds must be nonnegative, got {seeds}")
-        img = cp["image"] if cp.has_section("image") else {}
-        source = img.get("source", "synthetic")
-        if source != "synthetic":
-            # sweep rows score PSNR against the clean synthetic image
+        if not seeds or any(seed < 0 for seed in seeds):
             raise ConfigError(
-                f"sweep needs the synthetic image, got source {source!r}"
+                f"seeds must be a nonempty list of nonnegative integers, "
+                f"got {seeds}"
             )
-        blur = cp["blur"] if cp.has_section("blur") else {}
-        noise = cp["noise"] if cp.has_section("noise") else {}
-        sol = cp["solver"] if cp.has_section("solver") else {}
-        instance = TVInstance(
-            n1=int(img.get("n1", 64)),
-            n2=int(img.get("n2", 64)),
-            peak=float(img.get("peak", 255.0)),
-            alpha=float(sol.get("alpha", 0.01)),
-            blur_size=int(blur.get("size", 9)),
-            blur_std=float(blur.get("std", 4.0)),
-            noise_std_rel=float(noise.get("std_rel", 1e-3)),
-            eps=float(args.eps if args.eps is not None
-                      else sol.get("eps", 1e-8)),
-            max_iter=int(args.max_iter if args.max_iter is not None
-                         else sol.get("max_iter", 100000)),
-        )
-        out_dir = Path(
-            args.out_dir
-            or (cp["output"].get("out_dir", "runs")
-                if cp.has_section("output") else "runs")
-        )
+        instance = _instance(cp, args)
+        out_dir = _out_dir(cp, args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -366,7 +359,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             cfg, observed, R, _ = _tv_setup(cp, args)
             problem = build_problem(cfg, observed, R)
         elif kind == "identity":
-            dim = int(cp["image"].get("n1", 4)) if cp.has_section("image") else 4
+            # n1 is the toy problem's dimension here, not an image side
+            dim = cp.getint("image", "n1", fallback=4)
             if dim < 1:
                 raise ConfigError(f"n1 must be at least 1, got {dim}")
             tau = float(sol.get("tau", 1.0))

@@ -169,8 +169,8 @@ def equivalence_deviation(
     pd_run = pd_drs_iterate(p, x0, u0, sched, eps=None, max_iter=iters)
     coll = _Collector(np.copy)
     # the classic run starts where the auxiliary sequence does
-    km_iterate(lambda z: drs_operator(p, z), pd_run.z_sequence[0], sched,
-               eps=None, max_iter=iters, monitors=(coll,))
+    drs_iterate(p, pd_run.z_sequence[0], sched, eps=None, max_iter=iters,
+                monitors=(coll,))
     if len(coll.values) != len(pd_run.z_sequence):
         return math.inf
     return max(float(np.max(np.abs(za - zb)))

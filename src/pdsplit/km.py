@@ -26,7 +26,6 @@ __all__ = [
     "KMResult",
     "Monitor",
     "km_iterate",
-    "residual_rel",
 ]
 
 # km_iterate warns when sum(lambda_n (2 - lambda_n)) over the run stays
@@ -113,20 +112,6 @@ class KMResult:
     @property
     def final_residual(self) -> float:
         return self.trace[-1].residual if self.trace else math.inf
-
-
-def residual_rel(z_next, z) -> float:
-    """Relative step size sqrt(||z_next - z||^2 / ||z||^2) for arrays
-    or HVectors.
-
-    Returns +inf when ||z|| = 0 (sentinel for an uninformative base
-    point).
-    """
-    z = as_flat(z)
-    nz = float(np.linalg.norm(z))
-    if nz == 0.0:
-        return math.inf
-    return float(np.linalg.norm(as_flat(z_next) - z)) / nz
 
 
 class Monitor:

@@ -34,13 +34,11 @@ __all__ = [
     "hvector",
     "as_flat",
     "identity_op",
-    "scaled_identity_op",
     "matrix_op",
     "scalar_precond",
     "diagonal_precond",
     "matrix_precond",
     "power_iteration_sqnorm",
-    "cocoercivity_constant",
     "dense_range_diagnostics",
 ]
 
@@ -95,9 +93,6 @@ class HVector:
     def size(self) -> int:
         return self.data.size
 
-    def as_grid(self) -> np.ndarray:
-        return self.data.reshape(self.dims)
-
 
 def hvector(values, dims: tuple[int, ...] | None = None) -> HVector:
     """Build an HVector from any array-like, defaulting to a flat shape."""
@@ -133,14 +128,6 @@ class LinOp:
     fft_symbol: np.ndarray | None = None
     grid_shape: tuple[int, int] | None = None
 
-    def normal(self) -> "LinOp":
-        """Self-adjoint positive-semidefinite composition adjoint∘forward."""
-
-        def fwd(v: np.ndarray) -> np.ndarray:
-            return self.adjoint(self.forward(v))
-
-        return LinOp(fwd, fwd, self.dom_dim, self.dom_dim)
-
     def as_matrix(self) -> np.ndarray:
         """Dense materialization; intended for test-scale dimensions."""
         cols = np.empty((self.cod_dim, self.dom_dim))
@@ -154,11 +141,6 @@ class LinOp:
 
 def identity_op(n: int) -> LinOp:
     return LinOp(lambda v: v.copy(), lambda v: v.copy(), n, n)
-
-
-def scaled_identity_op(c: float, n: int) -> LinOp:
-    c = float(c)
-    return LinOp(lambda v: c * v, lambda v: c * v, n, n)
 
 
 def matrix_op(mat: np.ndarray) -> LinOp:
@@ -184,13 +166,6 @@ class Precond:
     matrix: np.ndarray | None = None
     matrix_inv: np.ndarray | None = field(default=None, repr=False)
     matrix_sqrt: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def strong_monotonicity_constant(self) -> float:
-        """Smallest eigenvalue."""
-        if self.matrix is None:
-            return float(np.min(self.diag))
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.matrix is None:
@@ -220,14 +195,14 @@ class Precond:
 
 def scalar_precond(c: float, dim: int) -> Precond:
     c = float(c)
-    if c <= 0:
+    if not c > 0:
         raise ValueError("scalar preconditioner must be positive")
     return Precond(dim, diag=c)
 
 
 def diagonal_precond(diag) -> Precond:
     d = np.asarray(diag, dtype=np.float64).ravel()
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ValueError("diagonal preconditioner entries must be positive")
     return Precond(d.size, diag=_freeze(d))
 
@@ -239,7 +214,7 @@ def matrix_precond(mat: np.ndarray) -> Precond:
     if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
         raise ValueError("matrix preconditioner must be symmetric")
     w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
+    if not w.min() > 0:
         raise ValueError("matrix preconditioner must be positive definite")
     return Precond(
         m.shape[0],
@@ -247,17 +222,6 @@ def matrix_precond(mat: np.ndarray) -> Precond:
         matrix_inv=(u * (1.0 / w)) @ u.T,
         matrix_sqrt=(u * np.sqrt(w)) @ u.T,
     )
-
-
-def cocoercivity_constant(tau: float, sigma: float) -> float:
-    """Cocoercivity constant tau*sigma/(tau+sigma) of the saddle operator.
-
-    ``tau`` and ``sigma`` are the strong-monotonicity constants of the
-    primal and dual preconditioners.
-    """
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("strong-monotonicity constants must be positive")
-    return tau * sigma / (tau + sigma)
 
 
 def power_iteration_sqnorm(
@@ -271,7 +235,8 @@ def power_iteration_sqnorm(
     Classic power iteration: seeded uniform start vector, renormalized
     each step, stopping when the relative successive change of the
     Rayleigh quotient drops below ``tol``.  Deterministic for a given
-    seed.  Used to estimate squared operator norms via ``op.normal()``.
+    seed.  Applied to a normal map L* L it estimates the squared
+    operator norm ||L||^2.
 
     Raises
     ------
@@ -317,14 +282,6 @@ class RangeDiagnostics:
     rank: int
     min_nonzero_eig: float
     kernel_basis: np.ndarray
-    range_basis: np.ndarray = field(repr=False, default=None)
-
-    def project_range(self, vec: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the range, via the eigenbasis."""
-        if self.rank == 0:
-            return np.zeros_like(np.asarray(vec, dtype=np.float64))
-        u = self.range_basis
-        return u @ (u.T @ np.asarray(vec, dtype=np.float64))
 
 
 def dense_range_diagnostics(
@@ -333,8 +290,8 @@ def dense_range_diagnostics(
 ) -> RangeDiagnostics:
     """Eigendecompose a symmetric matrix, e.g. ``PDProblem.metric_matrix()``.
 
-    Exists to test theory at desk scale; solvers never need the range
-    projection, so the dimension is capped at ``max_dim``.
+    Exists to test theory at desk scale; solvers never need it, so the
+    dimension is capped at ``max_dim``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
@@ -353,5 +310,4 @@ def dense_range_diagnostics(
         rank=rank,
         min_nonzero_eig=min_nonzero,
         kernel_basis=u[:, ~keep],
-        range_basis=u[:, keep],
     )

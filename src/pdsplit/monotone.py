@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import HVector, LinOp, Precond
+from .linalg import DENSE_DIM_LIMIT, HVector, LinOp, Precond
 
 __all__ = [
     "MonotoneOp",
@@ -33,9 +33,6 @@ __all__ = [
     "box_operator",
     "data_fit_operator",
 ]
-
-DENSE_SOLVE_LIMIT = 4096
-
 
 class UnsupportedPreconditionerError(ValueError):
     """Raised when an operator family has no closed-form resolvent for
@@ -98,15 +95,14 @@ class QuadraticDataFit:
         if R.cod_dim != b.size:
             raise ValueError("observation does not match operator codomain")
         self.R = R
-        self.b = b
         self.rtb = R.adjoint(b.data)
         self._fft = R.fft_symbol is not None
         if self._fft:
             self._sym_sq = np.abs(R.fft_symbol) ** 2
-        elif R.dom_dim > DENSE_SOLVE_LIMIT:
+        elif R.dom_dim > DENSE_DIM_LIMIT:
             raise ValueError(
                 "dense fallback limited to dimension "
-                f"{DENSE_SOLVE_LIMIT}, got {R.dom_dim}"
+                f"{DENSE_DIM_LIMIT}, got {R.dom_dim}"
             )
         self._gram = None
         self._solver_cache: dict[float, object] = {}

@@ -3,7 +3,9 @@
 Problem assembly (quadratic data fit, two anisotropic difference
 blocks, box constraint block), the relaxed primal-dual solver on it,
 step-size parameterizations on the critical boundary, metrics and a
-reproducible parameter sweep.
+reproducible parameter sweep.  ``TVInstance`` is the one definition of
+the experiment: its defaults and checks, its synthetic observation
+(``observe``) and the ``TVConfig`` of one solve (``config``).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class ImageGrid:
             raise ValueError("image must be 2-D with both sides >= 2")
         if not np.all(np.isfinite(arr)):
             raise ValueError("image entries must be finite")
-        if self.peak <= 0:
+        if not self.peak > 0:
             raise ValueError("peak must be positive")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -164,7 +166,7 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     """Truncated, normalized Gaussian kernel (sums to 1)."""
     if size % 2 == 0:
         raise ValueError("kernel size must be odd")
-    if std <= 0:
+    if not std > 0:
         raise ValueError("std must be positive")
     x = np.arange(size, dtype=np.float64) - size // 2
     k1 = np.exp(-0.5 * (x / std) ** 2)
@@ -209,7 +211,7 @@ def add_gaussian_noise(img: ImageGrid, std_rel: float, seed: int) -> ImageGrid:
     ``std_rel`` is the standard deviation on the unit-scaled image, so
     the absolute deviation is std_rel * peak.  Deterministic per seed.
     """
-    if std_rel < 0:
+    if not std_rel >= 0:
         raise ValueError("noise level must be nonnegative")
     if std_rel == 0:
         return img
@@ -289,7 +291,7 @@ def boundary_sigmas(
     """
     if not (0 < gamma1 < 1 and 0 < gamma2 < 1):
         raise ValueError("gamma parameters must lie in (0, 1)")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     return (
         gamma1 * (1.0 - gamma2) / (tau * d1_sq),
@@ -301,7 +303,7 @@ def boundary_sigmas(
 def equal_critical_sigma(tau: float, d1_sq: float, d2_sq: float) -> float:
     """Single critical dual step size shared by all blocks:
     sigma = 1 / (tau (1 + ||D1||^2 + ||D2||^2))."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     return 1.0 / (tau * (1.0 + d1_sq + d2_sq))
 
@@ -316,22 +318,24 @@ def _check_run_controls(eps: float, max_iter: int) -> None:
 def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
     """Raise ValueError unless ``cfg`` can run on an n1 x n2 grid: eps
     positive, max_iter at least 1, relaxation in [0, 2], alpha
-    nonnegative and positive step sizes within the boundary condition."""
+    nonnegative and positive step sizes within the boundary condition.
+    Every comparison fails on NaN."""
     _check_run_controls(cfg.eps, cfg.max_iter)
-    if cfg.alpha < 0:
+    if not cfg.alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
     if not 0.0 <= cfg.relaxation <= 2.0:
         raise ValueError(f"relaxation {cfg.relaxation} outside [0, 2]")
+    steps = (cfg.tau, cfg.sigma1, cfg.sigma2, cfg.sigma3)
+    if not all(s > 0 for s in steps):
+        raise ValueError(f"step sizes must be positive, got {steps}")
     bound = cfg.tau * (
         cfg.sigma1 * gradient_norm_sq(shape[0])
         + cfg.sigma2 * gradient_norm_sq(shape[1]) + cfg.sigma3
     )
-    if bound > 1.0 + 1e-4:
+    if not bound <= 1.0 + 1e-4:
         raise ValueError(
             f"step sizes violate the boundary condition ({bound:.6f} > 1)"
         )
-    if min(cfg.tau, cfg.sigma1, cfg.sigma2, cfg.sigma3) <= 0:
-        raise ValueError("step sizes must be positive")
 
 
 def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
@@ -413,8 +417,10 @@ def run_tv_solver(
 
 @dataclass(frozen=True)
 class TVInstance:
-    """Shared experiment setup: image, blur and noise model, run
-    controls used by every sweep cell."""
+    """The deblurring experiment: image, blur and noise model, TV
+    weight and run controls.  Its field defaults are the experiment's
+    defaults; ``observe`` builds the observation and ``config`` one
+    solve of it."""
 
     n1: int = 64
     n2: int = 64
@@ -427,6 +433,7 @@ class TVInstance:
     max_iter: int = 100000
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
         _check_run_controls(self.eps, self.max_iter)
         if min(self.n1, self.n2) < 2:
             raise ValueError(
@@ -438,12 +445,39 @@ class TVInstance:
                 f"blur size {self.blur_size} must be odd and at most "
                 "the grid side"
             )
-        if not min(self.blur_std, self.peak) > 0:
+        if not (self.blur_std > 0 and self.peak > 0):
             raise ValueError(f"blur std {self.blur_std} and peak "
                              f"{self.peak} must be positive")
-        if not min(self.noise_std_rel, self.alpha) >= 0:
+        if not (self.noise_std_rel >= 0 and self.alpha >= 0):
             raise ValueError(f"noise level {self.noise_std_rel} and alpha "
                              f"{self.alpha} must be nonnegative")
+
+    def observe(self, seed: int) -> tuple[ImageGrid, LinOp, ImageGrid]:
+        """(clean, R, observed): the synthetic image, its blur operator
+        and the blurred image with the noise of ``seed``."""
+        clean = synthetic_image(self.n1, self.n2, self.peak)
+        R = build_gaussian_blur(self.n1, self.n2, self.blur_size,
+                                self.blur_std)
+        blurred = ImageGrid(
+            R.forward(clean.pixels.ravel()).reshape(clean.shape), self.peak
+        )
+        return clean, R, add_gaussian_noise(blurred, self.noise_std_rel, seed)
+
+    def config(
+        self,
+        tau: float,
+        sigmas: tuple[float, float, float],
+        relaxation: float,
+        seed: int,
+    ) -> TVConfig:
+        """One solve of this experiment with the given step sizes."""
+        s1, s2, s3 = sigmas
+        return TVConfig(
+            tau=tau, sigma1=s1, sigma2=s2, sigma3=s3, alpha=self.alpha,
+            relaxation=relaxation, eps=self.eps, max_iter=self.max_iter,
+            seed=seed, blur_size=self.blur_size, blur_std=self.blur_std,
+            noise_std_rel=self.noise_std_rel,
+        )
 
 
 @dataclass(frozen=True)
@@ -459,6 +493,11 @@ class SweepGrid:
     include_equal_sigma: bool = True
 
     def __post_init__(self):
+        if not (self.tau_values and self.lambda_values):
+            raise ValueError("tau_values and lambda_values must be nonempty")
+        if not (self.include_equal_sigma
+                or (self.gamma1_values and self.gamma2_values)):
+            raise ValueError("the sweep grid has no cells")
         for tau in self.tau_values:
             if not tau > 0:
                 raise ValueError(f"tau {tau} must be positive")
@@ -533,45 +572,25 @@ def sweep(
 ) -> list[dict]:
     """Run every sweep cell for every seed; one row per (cell, seed).
 
-    Cells are independent and reproducible: each builds its observation
-    from the shared clean image and the row's seed, and rows come back
+    Cells are independent and reproducible: each runs on
+    ``instance.observe(seed)`` for its row's seed, and rows come back
     in deterministic cell-major order regardless of scheduling.
     """
     d1_sq = gradient_norm_sq(instance.n1)
     d2_sq = gradient_norm_sq(instance.n2)
-    clean = synthetic_image(instance.n1, instance.n2, instance.peak)
-    R = build_gaussian_blur(
-        instance.n1, instance.n2, instance.blur_size, instance.blur_std
-    )
-    blurred = ImageGrid(
-        R.forward(clean.pixels.ravel()).reshape(clean.shape), instance.peak
-    )
-    observations = {
-        seed: add_gaussian_noise(blurred, instance.noise_std_rel, seed)
+    observations = {seed: instance.observe(seed) for seed in seeds}
+    jobs = [
+        instance.config(tau, sigmas, lam, seed)
+        for tau, *sigmas in _sweep_cells(grid, d1_sq, d2_sq)
+        for lam in grid.lambda_values
         for seed in seeds
-    }
-    jobs = []
-    for tau, s1, s2, s3 in _sweep_cells(grid, d1_sq, d2_sq):
-        for lam in grid.lambda_values:
-            for seed in seeds:
-                cfg = TVConfig(
-                    tau=tau, sigma1=s1, sigma2=s2, sigma3=s3,
-                    alpha=instance.alpha, relaxation=lam,
-                    eps=instance.eps, max_iter=instance.max_iter,
-                    seed=seed, blur_size=instance.blur_size,
-                    blur_std=instance.blur_std,
-                    noise_std_rel=instance.noise_std_rel,
-                )
-                jobs.append(cfg)
+    ]
+
+    def run(cfg: TVConfig) -> dict:
+        clean, R, observed = observations[cfg.seed]
+        return _run_cell(cfg, observed, R, clean)
+
     if workers is None or workers <= 1:
-        rows = [
-            _run_cell(cfg, observations[cfg.seed], R, clean) for cfg in jobs
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, cfg, observations[cfg.seed], R, clean)
-                for cfg in jobs
-            ]
-            rows = [f.result() for f in futures]
-    return rows
+        return [run(cfg) for cfg in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, jobs))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdsplit import (
+    LinOp,
     PDProblem,
     identity_op,
     matrix_op,
@@ -33,6 +34,16 @@ def adjoint_gap(op, rng, trials=100):
         scale = np.linalg.norm(x) * np.linalg.norm(y) + 1.0
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
+
+
+def normal(op):
+    """The self-adjoint positive-semidefinite map L* L of the LinOp L;
+    power iteration on it estimates ||L||^2."""
+
+    def fwd(v):
+        return op.adjoint(op.forward(v))
+
+    return LinOp(fwd, fwd, op.dom_dim, op.dom_dim)
 
 
 def metric_problem(upsilon, sigma, coupling):

@@ -52,6 +52,8 @@ from pdsplit import (
 from pdsplit.cli import write_trace_csv
 from pdsplit.drs import DRSProblem
 
+from conftest import normal
+
 N_GRID = 64
 TAU = 0.4
 GAMMA1, GAMMA2 = 0.6, 0.01
@@ -189,7 +191,7 @@ def test_criterion_01_prox_resolvent_oracles():
 def test_criterion_02_operator_norm_reproduction():
     t0 = time.perf_counter()
     d1, _ = build_gradient_ops(256, 256)
-    est = power_iteration_sqnorm(d1.normal(), tol=3e-8, max_iter=100000,
+    est = power_iteration_sqnorm(normal(d1), tol=3e-8, max_iter=100000,
                                  seed=0)
     elapsed = time.perf_counter() - t0
     assert abs(est - 3.9998) <= 1e-3

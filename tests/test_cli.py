@@ -135,6 +135,23 @@ class TestSolveTV:
                       "[solver]\n": "[solver]\nproblem = identity\n"}),
         # sweep rows score PSNR against the clean synthetic image
         ("sweep", {"peak = 1.0\n": "peak = 1.0\nsource = missing.pgm\n"}),
+        # NaN fails every check, before any power iteration
+        ("solve-tv", {"tau = 0.4": "tau = nan"}),
+        ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
+                      "sigma1 = nan\nsigma2 = 0.1\nsigma3 = 0.1"}),
+        ("solve-tv", {"alpha = 0.01": "alpha = nan"}),
+        ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n",
+                      "tau = 0.4": "tau = nan"}),
+        ("sweep", {"alpha = 0.01": "alpha = nan"}),
+        # a sweep with nothing to run
+        ("sweep", {"tau_values = 0.4": "tau_values ="}),
+        ("sweep", {"lambda_values = 1.9": "lambda_values ="}),
+        ("sweep", {"seeds = 0": "seeds ="}),
+        ("sweep", {"gamma1_values = 0.6": "gamma1_values =",
+                   "gamma2_values = 0.01": "gamma2_values =",
+                   "include_equal_sigma = true": "include_equal_sigma = false"}),
+        ("sweep", ["--workers", "0"]),
+        ("sweep", ["--workers", "-3"]),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):
@@ -303,6 +320,37 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert all(r["lambda"] == "0.5" and r["seed"] == "7" for r in rows)
         assert all(r["iterations"] == "3" for r in rows)
+
+
+class TestReadersAgree:
+    def test_one_cell_sweep_matches_solve(self, tmp_path, capsys):
+        # the [sweep] cell is the [solver] gamma, lambda and seed
+        text = SOLVE_CONFIG.replace("n1 = 32\nn2 = 32", "n1 = 16\nn2 = 16")
+        text += """
+[sweep]
+tau_values = 0.4
+gamma1_values = 0.6
+gamma2_values = 0.01
+lambda_values = 1.9
+seeds = 3
+include_equal_sigma = false
+"""
+        solve_out, sweep_out = tmp_path / "solve", tmp_path / "sweep"
+        cfg = write_config(tmp_path, text, out=str(solve_out))
+        assert main(["solve-tv", "--config", cfg]) == 0
+        summary = capsys.readouterr().out
+        assert main(["sweep", "--config", cfg,
+                     "--out-dir", str(sweep_out)]) == 0
+        with open(solve_out / "trace.csv") as f:
+            trace = list(csv.DictReader(f))
+        with open(sweep_out / "sweep.csv") as f:
+            (row,) = list(csv.DictReader(f))
+        assert row["iterations"] == str(len(trace))
+        assert row["final_residual"] == trace[-1]["residual"]
+        assert row["seed"] == "3" and row["lambda"] == "1.9"
+        assert f"iterations={len(trace)} " in summary
+        assert f"objective={float(row['objective']):.6f} " in summary
+        assert f"psnr={float(row['psnr']):.4f} " in summary
 
 
 class TestDRSCheckCommand:

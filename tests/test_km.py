@@ -9,7 +9,6 @@ from pdsplit import (
     RelaxationSchedule,
     hvector,
     km_iterate,
-    residual_rel,
 )
 
 from conftest import identity_saddle, random_state
@@ -50,27 +49,6 @@ class TestRelaxationSchedule:
         z0 = hvector([1.0])
         with pytest.warns(UserWarning):
             km_iterate(lambda z: z, z0, s, 1e-8, 5)
-
-
-class TestResidualRel:
-    def test_stationary(self):
-        z = hvector([1.0, 2.0])
-        assert residual_rel(z, z) == 0.0
-
-    def test_unit_relative_step(self):
-        z = hvector([1.0, 0.0])
-        z_next = hvector([2.0, 0.0])
-        assert residual_rel(z_next, z) == pytest.approx(1.0)
-
-    def test_zero_base_point_sentinel(self):
-        z = hvector([0.0, 0.0])
-        assert residual_rel(hvector([1.0, 0.0]), z) == math.inf
-
-    def test_matches_direct_recomputation(self, rng):
-        z = hvector(rng.standard_normal(9))
-        w = hvector(rng.standard_normal(9))
-        want = np.linalg.norm(w.data - z.data) / np.linalg.norm(z.data)
-        assert residual_rel(w, z) == pytest.approx(want, rel=1e-14)
 
 
 class TestKMIterate:
