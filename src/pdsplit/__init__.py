@@ -26,7 +26,6 @@ from .monotone import (
     MonotoneOp,
     QuadraticDataFit,
     UnsupportedPreconditionerError,
-    affine_operator,
     box_operator,
     data_fit_operator,
     dual_resolvent,

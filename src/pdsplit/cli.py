@@ -36,7 +36,7 @@ from .linalg import (
     identity_op,
     scalar_precond,
 )
-from .monotone import affine_operator, monotone_linear, zero_operator
+from .monotone import monotone_linear, zero_operator
 from .pgm import read_pgm, write_pgm
 from .primal_dual import PDProblem, step_condition
 from .tv import (
@@ -100,6 +100,13 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
+def _option(cp: configparser.ConfigParser, section: str, key: str) -> str:
+    """The text of a key the command cannot run without."""
+    if not cp.has_option(section, key):
+        raise ConfigError(f"missing key {key!r} in section [{section}]")
+    return cp[section][key]
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.replace(",", " ").split())
 
@@ -154,7 +161,8 @@ _INSTANCE_KEYS = {
 def _instance(cp: configparser.ConfigParser, overrides: argparse.Namespace,
               **fixed) -> TVInstance:
     """The experiment a config describes: its ``_INSTANCE_KEYS``, then
-    ``--eps`` and ``--max-iter``, then the fields in ``fixed``."""
+    ``--eps`` and ``--max-iter`` where the command has them, then the
+    fields in ``fixed``."""
     kinds = {f.name: type(f.default) for f in fields(TVInstance)}
     kwargs = {
         name: kinds[name](cp[section][key])
@@ -162,7 +170,7 @@ def _instance(cp: configparser.ConfigParser, overrides: argparse.Namespace,
         if cp.has_option(section, key)
     }
     for name in ("eps", "max_iter"):
-        if getattr(overrides, name) is not None:
+        if getattr(overrides, name, None) is not None:
             kwargs[name] = getattr(overrides, name)
     return TVInstance(**{**kwargs, **fixed})
 
@@ -174,12 +182,13 @@ def _out_dir(cp: configparser.ConfigParser,
 
 
 def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
-    """Build (cfg, observed, R, clean_or_None) from a config file."""
+    """Build (cfg, observed, R, clean_or_None) from a config file and
+    the command's ``--seed`` and, where it has one, ``--lambda``."""
     sol = cp["solver"] if cp.has_section("solver") else {}
     tau = float(sol.get("tau", 0.2))
     lam = float(sol.get("lambda", 1.0))
     seed = int(sol.get("seed", 0))
-    if overrides.relaxation is not None:
+    if getattr(overrides, "relaxation", None) is not None:
         lam = overrides.relaxation
     if overrides.seed is not None:
         seed = overrides.seed
@@ -214,12 +223,12 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     d1_sq = gradient_norm_sq(instance.n1)
     d2_sq = gradient_norm_sq(instance.n2)
     if mode == "explicit":
-        sigmas = (
-            float(sol["sigma1"]), float(sol["sigma2"]), float(sol["sigma3"])
-        )
+        sigmas = tuple(float(_option(cp, "solver", key))
+                       for key in ("sigma1", "sigma2", "sigma3"))
     elif mode == "gamma":
         sigmas = boundary_sigmas(
-            tau, float(sol["gamma1"]), float(sol["gamma2"]), d1_sq, d2_sq
+            tau, float(_option(cp, "solver", "gamma1")),
+            float(_option(cp, "solver", "gamma2")), d1_sq, d2_sq
         )
     elif mode == "equal":
         s = equal_critical_sigma(tau, d1_sq, d2_sq)
@@ -240,7 +249,7 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         ascii_format = (
             cp.get("output", "format", fallback="P5").upper() == "P2"
         )
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -277,6 +286,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"sweep needs the synthetic image, got source {source!r}"
             )
+        if not cp.has_section("sweep"):
+            raise ConfigError("missing section [sweep]")
         sw = cp["sweep"]
         grid = SweepGrid(
             tau_values=_floats(sw.get("tau_values", "0.2")),
@@ -297,7 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         instance = _instance(cp, args)
         out_dir = _out_dir(cp, args)
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -337,7 +348,7 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
         dev = equivalence_deviation(p, x0, u0, sched, args.iters)
         worst = max(worst, dev)
     # zero-operator edge case: both sequences must coincide exactly
-    zero = affine_operator(0.0, 0.0)
+    zero = monotone_linear(0.0, 0.0)
     p0 = DRSProblem(A=zero, B=zero, upsilon=scalar_precond(1.0, args.dims))
     x0 = hvector(rng.standard_normal(args.dims))
     u0 = hvector(np.zeros(args.dims))
@@ -373,7 +384,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             )
         else:
             raise ConfigError(f"unknown problem kind {kind!r}")
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -397,20 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_options(p):
         p.add_argument("--config", required=False, help="INI config path")
         p.add_argument("--seed", type=int, default=None)
+
+    def run_options(p):
+        config_options(p)
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--lambda", dest="relaxation", type=float, default=None)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
 
     p_solve = sub.add_parser("solve-tv", help="one deblurring run")
-    common(p_solve)
+    run_options(p_solve)
     p_solve.set_defaults(func=cmd_solve_tv, needs_config=True)
 
     p_sweep = sub.add_parser("sweep", help="step-size/relaxation study")
-    common(p_sweep)
+    run_options(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep, needs_config=True)
 
@@ -422,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drs.set_defaults(func=cmd_drs_check, needs_config=False)
 
     p_diag = sub.add_parser("diagnose", help="step-size condition report")
-    common(p_diag)
+    config_options(p_diag)
     p_diag.set_defaults(func=cmd_diagnose, needs_config=True)
     return ap
 

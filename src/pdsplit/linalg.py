@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -183,6 +184,11 @@ class Precond:
         return self.matrix_sqrt @ v
 
     def inverse(self) -> "Precond":
+        """P^{-1}, built once: every call returns the same object."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Precond":
         if self.matrix is None:
             return Precond(self.dim, diag=1.0 / self.diag)
         return matrix_precond(np.linalg.inv(self.matrix))

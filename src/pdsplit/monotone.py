@@ -27,7 +27,6 @@ __all__ = [
     "moreau_inverse_resolvent",
     "dual_resolvent",
     "zero_operator",
-    "affine_operator",
     "monotone_linear",
     "l1_operator",
     "box_operator",
@@ -87,8 +86,8 @@ class QuadraticDataFit:
     The resolvent at step tau solves (Id + tau R*R) y = x + tau R*b.
     When R is a real periodic convolution (``fft_symbol`` set on the
     operator) the solve is diagonalized by the real FFT, which stores
-    half the spectrum; otherwise a dense Cholesky factorization is
-    cached per step size, limited to moderate dimensions.
+    half the spectrum; otherwise the dense inverse of Id + tau R*R is
+    formed once per step size, limited to moderate dimensions.
     """
 
     def __init__(self, R: LinOp, b: HVector):
@@ -104,8 +103,7 @@ class QuadraticDataFit:
                 "dense fallback limited to dimension "
                 f"{DENSE_DIM_LIMIT}, got {R.dom_dim}"
             )
-        self._gram = None
-        self._solver_cache: dict[float, object] = {}
+        self._solver_cache: dict[float, np.ndarray] = {}
 
     def resolvent(self, tau: float, x: np.ndarray) -> np.ndarray:
         if tau <= 0:
@@ -120,16 +118,12 @@ class QuadraticDataFit:
             spec = np.fft.rfft2(rhs.reshape(shape))
             spec /= denom
             return np.fft.irfft2(spec, s=shape).ravel()
-        chol = self._solver_cache.get(tau)
-        if chol is None:
-            if self._gram is None:
-                m = self.R.as_matrix()
-                self._gram = m.T @ m
-            chol = np.linalg.cholesky(
-                np.eye(self.R.dom_dim) + tau * self._gram
-            )
-            self._solver_cache[tau] = chol
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        inv = self._solver_cache.get(tau)
+        if inv is None:
+            m = self.R.as_matrix()
+            inv = np.linalg.inv(np.eye(self.R.dom_dim) + tau * (m.T @ m))
+            self._solver_cache[tau] = inv
+        return inv @ rhs
 
 
 def moreau_inverse_resolvent(
@@ -148,22 +142,14 @@ def moreau_inverse_resolvent(
     return sigma * (v - prox_g(1.0 / sigma, v))
 
 
-def dual_resolvent(
-    op: MonotoneOp,
-    sigma: Precond,
-    u: np.ndarray,
-    sigma_inv: Precond | None = None,
-) -> np.ndarray:
+def dual_resolvent(op: MonotoneOp, sigma: Precond,
+                   u: np.ndarray) -> np.ndarray:
     """Resolvent of Sigma B^{-1} derived from the primal resolvent of B.
 
     Uses q = u - Sigma J_{Sigma^{-1} B}(Sigma^{-1} u), the
-    preconditioned Moreau decomposition.  ``sigma_inv`` is
-    ``sigma.inverse()``, built here when not given; iterations pass
-    one built once per problem.
+    preconditioned Moreau decomposition.
     """
-    if sigma_inv is None:
-        sigma_inv = sigma.inverse()
-    w = op.resolvent(sigma_inv, sigma.apply_inverse(u))
+    w = op.resolvent(sigma.inverse(), sigma.apply_inverse(u))
     return u - sigma.apply(w)
 
 
@@ -172,40 +158,42 @@ def zero_operator() -> MonotoneOp:
     return MonotoneOp(lambda p, x: x)
 
 
-def affine_operator(slope: float, intercept) -> MonotoneOp:
-    """A: x -> slope*x + intercept with scalar slope >= 0.
+def monotone_linear(mat, offset=None) -> MonotoneOp:
+    """A: x -> M x + c for a scalar slope M >= 0 (times Id, in any
+    dimension) or a matrix M with positive-semidefinite symmetric part;
+    ``offset`` c is a scalar or a vector, zero when omitted.
 
-    ``intercept`` may be a scalar or a vector; covers identity maps and
-    shifted identities used in the scalar reference instances.
+    A scalar slope at a diagonal preconditioner d has the closed form
+    (x - d c) / (1 + d M).  Otherwise K = (Id + P M)^{-1} and K P c are
+    formed on the first call with a preconditioner P and reused while
+    the same object is passed.  They are cached in one tuple with P,
+    read and replaced whole, so no caller pairs P with another's K.
     """
-    if slope < 0:
-        raise ValueError("slope must be nonnegative for monotonicity")
-    c = np.asarray(intercept, dtype=np.float64)
-
-    def res(p: Precond, x: np.ndarray) -> np.ndarray:
-        if p.diag is not None:
-            step = p.diag
-            return (x - step * c) / (1.0 + step * slope)
-        m = p.as_matrix()
-        rhs = x - m @ np.broadcast_to(c, (p.dim,))
-        return np.linalg.solve(np.eye(p.dim) + slope * m, rhs)
-
-    return MonotoneOp(res)
-
-
-def monotone_linear(mat: np.ndarray, offset=None) -> MonotoneOp:
-    """A: x -> M x + c for a matrix with positive-semidefinite
-    symmetric part."""
     m = np.asarray(mat, dtype=np.float64)
-    sym_min = float(np.linalg.eigvalsh((m + m.T) / 2.0).min())
-    if sym_min < -1e-10 * max(1.0, float(np.abs(m).max())):
-        raise ValueError("matrix is not monotone (symmetric part indefinite)")
-    c = None if offset is None else np.asarray(offset, dtype=np.float64).ravel()
+    if m.ndim == 0:
+        if not m >= 0:
+            raise ValueError("slope must be nonnegative for monotonicity")
+    else:
+        sym_min = float(np.linalg.eigvalsh((m + m.T) / 2.0).min())
+        if sym_min < -1e-10 * max(1.0, float(np.abs(m).max())):
+            raise ValueError(
+                "matrix is not monotone (symmetric part indefinite)"
+            )
+    c = np.asarray(0.0 if offset is None else offset, dtype=np.float64)
+    cached = (None, None, None)
 
     def res(p: Precond, x: np.ndarray) -> np.ndarray:
-        pm = p.as_matrix()
-        rhs = x if c is None else x - pm @ c
-        return np.linalg.solve(np.eye(p.dim) + pm @ m, rhs)
+        nonlocal cached
+        if m.ndim == 0 and p.diag is not None:
+            step = p.diag
+            return (x - step * c) / (1.0 + step * m)
+        held, inv, shift = cached
+        if held is not p:
+            pm = p.as_matrix() @ (m * np.eye(p.dim) if m.ndim == 0 else m)
+            inv = np.linalg.inv(np.eye(p.dim) + pm)
+            shift = inv @ p.apply(np.broadcast_to(c, (p.dim,)))
+            cached = (p, inv, shift)
+        return inv @ x - shift
 
     return MonotoneOp(res)
 

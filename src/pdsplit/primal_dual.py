@@ -12,7 +12,6 @@ through the seminorm residual.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +42,7 @@ COND_TOL = 1e-4
 
 
 class StepSizeConditionError(ValueError):
-    """Raised when the estimated step-size condition exceeds 1 and the
-    caller did not override."""
+    """Raised when the estimated step-size condition exceeds 1."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,7 @@ class PDProblem:
     Find (x, u) with 0 in A x + sum_i L_i^* u_i and 0 in B_i^{-1} u_i
     - L_i x for each block, given a primal preconditioner and one dual
     preconditioner per block.  The iteration state is one flat array:
-    x in ``[:dim]``, then u_i in ``dual_slices[i]``; ``sigma_invs``
-    holds each dual preconditioner's inverse, built once.
+    x in ``[:dim]``, then u_i in ``dual_slices[i]``.
 
     The saddle-point metric on that state is
 
@@ -72,8 +69,6 @@ class PDProblem:
     sigmas: tuple[Precond, ...]
     dual_slices: tuple[slice, ...] = field(init=False, repr=False,
                                            compare=False)
-    sigma_invs: tuple[Precond, ...] = field(init=False, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -90,8 +85,6 @@ class PDProblem:
             slices.append(slice(off, off + s.dim))
             off += s.dim
         object.__setattr__(self, "dual_slices", tuple(slices))
-        object.__setattr__(self, "sigma_invs",
-                           tuple(s.inverse() for s in self.sigmas))
 
     @property
     def dim(self) -> int:
@@ -148,12 +141,11 @@ class PDProblem:
             )
         mat = np.zeros((total, total))
         mat[:n, :n] = self.upsilon.inverse().as_matrix()
-        for (_, l), s_inv, sl in zip(self.blocks, self.sigma_invs,
-                                     self.dual_slices):
+        for (_, l), s, sl in zip(self.blocks, self.sigmas, self.dual_slices):
             lm = l.as_matrix()
             mat[:n, sl] = -lm.T
             mat[sl, :n] = -lm
-            mat[sl, sl] = s_inv.as_matrix()
+            mat[sl, sl] = s.inverse().as_matrix()
         return mat
 
     def initial_state(self, x0=None) -> np.ndarray:
@@ -187,10 +179,8 @@ def pd_resolvent(p: PDProblem, z: np.ndarray) -> np.ndarray:
     p_new = out[:n]
     p_new[:] = p.A.resolvent(p.upsilon, x - p.upsilon.apply(acc))
     t = 2.0 * p_new - x
-    for (b, l), sig, sig_inv, sl in zip(p.blocks, p.sigmas, p.sigma_invs,
-                                        p.dual_slices):
-        out[sl] = dual_resolvent(b, sig, z[sl] + sig.apply(l.forward(t)),
-                                 sig_inv)
+    for (b, l), sig, sl in zip(p.blocks, p.sigmas, p.dual_slices):
+        out[sl] = dual_resolvent(b, sig, z[sl] + sig.apply(l.forward(t)))
     return out
 
 
@@ -242,26 +232,18 @@ def pd_iterate(
     max_iter: int,
     monitors: tuple[Monitor, ...] = (),
     objective_fn=None,
-    override: bool = False,
 ) -> KMResult:
     """Relaxed primal-dual iteration from the flat state ``z0`` in
     ``p``'s layout (see ``initial_state``).
 
     Checks the step-size condition first and refuses configurations
-    whose estimate exceeds 1 + COND_TOL unless ``override`` is set (a
-    warning is emitted in that case).
+    whose estimate exceeds 1 + COND_TOL.
     """
     cond = step_condition(p)
     if cond.norm_sq_estimate > 1.0 + COND_TOL:
-        if not override:
-            raise StepSizeConditionError(
-                f"step-size condition estimate {cond.norm_sq_estimate:.6g} "
-                "exceeds 1; pass override=True to run anyway"
-            )
-        warnings.warn(
-            "running with step-size condition estimate "
-            f"{cond.norm_sq_estimate:.6g} > 1; convergence is not guaranteed",
-            stacklevel=2,
+        raise StepSizeConditionError(
+            f"step-size condition estimate {cond.norm_sq_estimate:.6g} "
+            "exceeds 1"
         )
     return km_iterate(
         lambda z: pd_resolvent(p, z), z0, sched, eps, max_iter,

@@ -24,7 +24,6 @@ from pdsplit import (
     TVConfig,
     TVInstance,
     add_gaussian_noise,
-    affine_operator,
     boundary_sigmas,
     build_gaussian_blur,
     build_gradient_ops,
@@ -231,8 +230,8 @@ def test_criterion_03_drs_equivalence():
 def test_criterion_04_critical_scalar_convergence():
     t0 = time.perf_counter()
     p = PDProblem(
-        A=affine_operator(1.0, -1.0),
-        blocks=((affine_operator(1.0, 0.0), identity_op(1)),),
+        A=monotone_linear(1.0, -1.0),
+        blocks=((monotone_linear(1.0, 0.0), identity_op(1)),),
         upsilon=scalar_precond(1.0, 1),
         sigmas=(scalar_precond(1.0, 1),),
     )

@@ -172,6 +172,33 @@ class TestSolveTV:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
 
+    # a config without a section or key the command needs names it
+    @pytest.mark.parametrize("command,edits,name", [
+        ("sweep", {"[sweep]\ntau_values = 0.4\ngamma1_values = 0.6\n"
+                   "gamma2_values = 0.01\nlambda_values = 1.9\nseeds = 0\n"
+                   "include_equal_sigma = true\n\n": ""}, "[sweep]"),
+        ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
+                      "sigma1 = 0.1\nsigma3 = 0.1"}, "'sigma2'"),
+        ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
+                      "stepsizes = explicit"}, "'sigma1'"),
+        ("solve-tv", {"gamma2 = 0.01\n": ""}, "'gamma2'"),
+        ("diagnose", {"gamma2 = 0.01\n": ""}, "'gamma2'"),
+    ])
+    def test_missing_section_or_key_is_named(self, tmp_path, capsys, command,
+                                             edits, name):
+        text = SWEEP_CONFIG if command == "sweep" else SOLVE_CONFIG
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "o"))
+        rc = main([command, "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "missing" in lines[0] and name in lines[0]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path, SOLVE_CONFIG, name="a.ini",
@@ -425,3 +452,15 @@ gamma2 = 0.01
         out = capsys.readouterr().out
         assert rc == 0
         assert "rank=" in out and "kernel_dim=" in out
+
+    def test_run_options_are_unknown_flags(self, tmp_path, capsys):
+        # diagnose reads only --config and --seed; the solver's run
+        # options are rejected like any unknown flag
+        cfg = write_config(tmp_path, "[solver]\nproblem = identity\n")
+        for flag, value in (("--eps", "3"), ("--lambda", "1.5"),
+                            ("--max-iter", "7"), ("--out-dir", "zzz")):
+            with pytest.raises(SystemExit) as exc:
+                main(["diagnose", "--config", cfg, flag, value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {value}" in err

@@ -4,7 +4,6 @@ import pytest
 from pdsplit import (
     DRSProblem,
     RelaxationSchedule,
-    affine_operator,
     as_pd_problem,
     diagonal_precond,
     drs_iterate,
@@ -29,8 +28,8 @@ def scalar_drs():
     whose transported primal-dual pair is (1/2, 1/2).
     """
     return DRSProblem(
-        A=affine_operator(1.0, -1.0),
-        B=affine_operator(1.0, 0.0),
+        A=monotone_linear(1.0, -1.0),
+        B=monotone_linear(1.0, 0.0),
         upsilon=scalar_precond(1.0, 1),
     )
 
@@ -60,7 +59,7 @@ class TestDRSOperator:
         np.testing.assert_allclose(drs_operator(p, z), z)
 
     def test_zero_first_operator_reduces_to_second_resolvent(self, rng):
-        b = affine_operator(2.0, 0.3)
+        b = monotone_linear(2.0, 0.3)
         p = DRSProblem(A=zero_operator(), B=b,
                        upsilon=scalar_precond(0.7, 3))
         z = rng.standard_normal(3)

@@ -4,7 +4,6 @@ import pytest
 from pdsplit import (
     QuadraticDataFit,
     UnsupportedPreconditionerError,
-    affine_operator,
     box_operator,
     diagonal_precond,
     dual_resolvent,
@@ -200,7 +199,7 @@ class TestResolventGeneric:
         np.testing.assert_allclose(out, x)
 
     def test_identity_monotone_map(self):
-        op = affine_operator(1.0, 0.0)
+        op = monotone_linear(1.0, 0.0)
         tau = 3.0
         x = np.array([2.0])
         got = op.resolvent(scalar_precond(tau, 1), x)
@@ -223,7 +222,7 @@ class TestResolventGeneric:
     def test_affine_solves_inclusion(self, rng):
         # J_{tau A} x satisfies p + tau (p + c) = x for A: y -> y + c
         c = rng.standard_normal(4)
-        op = affine_operator(1.0, c)
+        op = monotone_linear(1.0, c)
         tau = 1.3
         x = rng.standard_normal(4)
         p = op.resolvent(scalar_precond(tau, 4), x)
@@ -256,7 +255,7 @@ class TestFirmNonexpansiveness:
         lambda rng: zero_operator(),
         lambda rng: l1_operator(0.6),
         lambda rng: box_operator(-1.0, 1.0),
-        lambda rng: affine_operator(2.0, 0.5),
+        lambda rng: monotone_linear(2.0, 0.5),
         lambda rng: monotone_linear(
             (lambda m: m @ m.T + 0.1 * np.eye(5))(rng.standard_normal((5, 5)))
         ),

@@ -6,7 +6,6 @@ from pdsplit import (
     PDProblem,
     RelaxationSchedule,
     StepSizeConditionError,
-    affine_operator,
     dense_range_diagnostics,
     hvector,
     identity_op,
@@ -32,8 +31,8 @@ def scalar_instance():
     condition holds with equality (critical configuration).
     """
     return PDProblem(
-        A=affine_operator(1.0, -1.0),
-        blocks=((affine_operator(1.0, 0.0), identity_op(1)),),
+        A=monotone_linear(1.0, -1.0),
+        blocks=((monotone_linear(1.0, 0.0), identity_op(1)),),
         upsilon=scalar_precond(1.0, 1),
         sigmas=(scalar_precond(1.0, 1),),
     )
@@ -67,7 +66,7 @@ class TestPDResolvent:
         n = 4
         p = PDProblem(
             A=zero_operator(),
-            blocks=((affine_operator(1.0, 0.0), identity_op(n)),),
+            blocks=((monotone_linear(1.0, 0.0), identity_op(n)),),
             upsilon=scalar_precond(1.0, n),
             sigmas=(scalar_precond(1.0, n),),
         )
@@ -81,7 +80,7 @@ class TestPDResolvent:
         n = 3
         p = PDProblem(
             A=monotone_linear(np.eye(n), offset=rng.standard_normal(n)),
-            blocks=((affine_operator(1.0, 0.0), identity_op(n)),),
+            blocks=((monotone_linear(1.0, 0.0), identity_op(n)),),
             upsilon=scalar_precond(1.0, n),
             sigmas=(scalar_precond(1.0, n),),
         )
@@ -209,20 +208,6 @@ class TestPDIterate:
         with pytest.raises(StepSizeConditionError):
             pd_iterate(p, p.initial_state(),
                        RelaxationSchedule.constant(1.0), 1e-8, 10)
-
-    def test_override_warns_and_runs(self):
-        p = PDProblem(
-            A=zero_operator(),
-            blocks=((zero_operator(), identity_op(2)),),
-            upsilon=scalar_precond(1.1, 2),
-            sigmas=(scalar_precond(1.1, 2),),
-        )
-        with pytest.warns(UserWarning):
-            res = pd_iterate(p, p.initial_state(),
-                             RelaxationSchedule.constant(1.0), 1e-8, 5,
-                             override=True)
-        assert res.iterations >= 1
-
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_primal_resolvent_stops_run(self):

@@ -11,8 +11,12 @@ from pdsplit import (
     build_gaussian_blur,
     build_problem,
     dense_range_diagnostics,
+    diagonal_precond,
     gradient_norm_sq,
+    matrix_precond,
+    monotone_linear,
     pd_resolvent,
+    scalar_precond,
 )
 
 fraction = st.floats(0.05, 0.95)
@@ -83,3 +87,52 @@ def test_metric_and_resolvent_at_critical_steps(n1, n2, tau, gamma1, gamma2,
         jz, jw = pd_resolvent(problem, z), pd_resolvent(problem, w)
         step = problem.metric((z - jz) - (w - jw))
         assert (jz - jw) @ step >= -1e-10 * norm(jz - jw) * norm(step)
+
+
+def random_precond(kind, rng, n):
+    """A scalar, diagonal or dense preconditioner with spectrum in
+    [0.2, 3]."""
+    if kind == "scalar":
+        return scalar_precond(rng.uniform(0.2, 3.0), n)
+    if kind == "diagonal":
+        return diagonal_precond(rng.uniform(0.2, 3.0, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return matrix_precond((q * rng.uniform(0.2, 3.0, n)) @ q.T)
+
+
+preconds = st.sampled_from(("scalar", "diagonal", "dense"))
+
+
+@examples
+@given(
+    n=st.integers(1, 6),
+    slope=st.one_of(st.floats(0.0, 3.0), st.just("matrix")),
+    vector_offset=st.booleans(),
+    kind1=preconds,
+    kind2=preconds,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_resolvent_solves_and_never_reuses_a_stale_inverse(
+        n, slope, vector_offset, kind1, kind2, seed):
+    # A: y -> M y + c with M a scalar slope or a matrix whose symmetric
+    # part is positive semidefinite; J = (Id + P A)^{-1}
+    rng = np.random.default_rng(seed)
+    if slope == "matrix":
+        q = rng.standard_normal((n, n))
+        mat = dense_m = q @ q.T / n + 0.5 * (q - q.T)
+    else:
+        mat, dense_m = slope, slope * np.eye(n)
+    c = rng.standard_normal(n) if vector_offset else rng.standard_normal()
+    p1, p2 = random_precond(kind1, rng, n), random_precond(kind2, rng, n)
+    x = rng.standard_normal(n)
+
+    op = monotone_linear(mat, c)
+    got = [op.resolvent(p, x) for p in (p1, p2, p1)]
+    for p, y in zip((p1, p2, p1), got):
+        gap = np.linalg.norm(y + p.apply(dense_m @ y + c) - x)
+        assert gap <= 1e-10 * (1.0 + np.linalg.norm(x))
+        # a freshly built operator forms its solve from scratch
+        fresh = monotone_linear(mat, c).resolvent(p, x)
+        assert np.array_equal(y, fresh)
+    for p in (p1, p2):
+        assert p.inverse() is p.inverse()
