@@ -84,8 +84,14 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        # a missing section header, a repeated key or section, a bad
+        # line; the parser's message spans several lines
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in cp.sections():

@@ -115,15 +115,23 @@ def as_flat(z) -> np.ndarray:
 class LinOp:
     """Linear map between flat float64 arrays, with adjoint.
 
-    ``forward`` and ``adjoint`` act on 1-D arrays of length ``dom_dim``
-    and ``cod_dim``.  ``fft_symbol`` is set for real periodic
-    convolutions: the transfer function on ``grid_shape`` in the
-    half-spectrum layout of ``np.fft.rfft2``, which lets downstream
-    solvers diagonalize normal equations with the real FFT.
+    ``forward(v, out=None)`` and ``adjoint(v, out=None)`` act on 1-D
+    arrays of length ``dom_dim`` and ``cod_dim``.  Without ``out`` they
+    return a new array.  With ``out``, a contiguous float64 array of
+    the result's length that does not overlap ``v``, they write the
+    result into it and return ``out``, so a hot loop can reuse its
+    buffers.  Every LinOp pdsplit builds keeps this contract, and
+    ``primal_dual.pd_resolvent`` relies on it for its coupling
+    operators.
+
+    ``fft_symbol`` is set for real periodic convolutions: the transfer
+    function on ``grid_shape`` in the half-spectrum layout of
+    ``np.fft.rfft2``, which lets downstream solvers diagonalize normal
+    equations with the real FFT.
     """
 
-    forward: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
+    forward: Callable[..., np.ndarray]
+    adjoint: Callable[..., np.ndarray]
     dom_dim: int
     cod_dim: int
     fft_symbol: np.ndarray | None = None
@@ -140,8 +148,16 @@ class LinOp:
         return cols
 
 
+def _copy(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``v`` copied into ``out``, or into a new array when omitted."""
+    if out is None:
+        return v.copy()
+    out[...] = v
+    return out
+
+
 def identity_op(n: int) -> LinOp:
-    return LinOp(lambda v: v.copy(), lambda v: v.copy(), n, n)
+    return LinOp(_copy, _copy, n, n)
 
 
 def matrix_op(mat: np.ndarray) -> LinOp:
@@ -149,7 +165,9 @@ def matrix_op(mat: np.ndarray) -> LinOp:
     if mat.ndim != 2:
         raise ValueError("matrix_op expects a 2-D array")
     mt = mat.T.copy()
-    return LinOp(lambda v: mat @ v, lambda v: mt @ v, mat.shape[1], mat.shape[0])
+    return LinOp(lambda v, out=None: np.matmul(mat, v, out=out),
+                 lambda v, out=None: np.matmul(mt, v, out=out),
+                 mat.shape[1], mat.shape[0])
 
 
 @dataclass(frozen=True)
@@ -160,6 +178,8 @@ class Precond:
     broadcasting covers both) or a dense symmetric positive-definite
     ``matrix``, stored with its inverse and its self-adjoint square
     root.  Resolvent families read ``diag`` for their closed forms.
+    ``apply`` takes the ``out=`` form of ``LinOp`` and also allows
+    ``out`` to be its input.
     """
 
     dim: int
@@ -168,10 +188,13 @@ class Precond:
     matrix_inv: np.ndarray | None = field(default=None, repr=False)
     matrix_sqrt: np.ndarray | None = field(default=None, repr=False)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """P v, written into ``out`` and returned when given; ``out``
+        may be ``v`` itself."""
         if self.matrix is None:
-            return self.diag * v
-        return self.matrix @ v
+            return np.multiply(self.diag, v, out=out)
+        return np.matmul(self.matrix, v, out=out)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         if self.matrix is None:

@@ -1,12 +1,16 @@
 """Proximity operators and resolvents of maximally monotone operators.
 
-Each operator family is exposed only through its resolvent at a given
-preconditioner; dual-block resolvents are derived from primal ones via
-the Moreau-type inversion identity, so soft thresholding, box
-projections and quadratic data-fit solves cover the whole experiment.
-Resolvents act on flat float64 arrays; a resolvent may return its
-input unchanged (the zero operator does), so callers must not write
-into the result in place.
+Each operator family is exposed through its resolvent at a given
+preconditioner.  A dual-block resolvent, of Sigma B^{-1}, uses the
+family's closed form when it has one (a clip for the l1 and box
+families) and is otherwise derived from the primal resolvent via the
+Moreau-type inversion identity, so soft thresholding, box projections
+and quadratic data-fit solves cover the whole experiment.
+
+Resolvents act on flat float64 arrays.  A primal resolvent may return
+its input unchanged (the zero operator does), so callers must not
+write into its result in place.  Dual resolvents take ``out=``: they
+write into it, which may be their input, and return it.
 """
 
 from __future__ import annotations
@@ -55,10 +59,16 @@ class MonotoneOp:
     ``resolvent(precond, x)`` evaluates (Id + P A)^{-1} x for this
     operator A, the preconditioner P and a flat array x; families raise
     UnsupportedPreconditionerError for preconditioners they do not
-    support in closed form.
+    support in closed form.  ``conj_resolvent(sigma, u, out)``, when
+    set, is the closed form of the resolvent (Id + Sigma A^{-1})^{-1} u
+    that ``dual_resolvent`` uses: it writes into ``out`` (a new array
+    when None; ``u`` itself is allowed) and returns it.
     """
 
     resolvent: Callable[[Precond, np.ndarray], np.ndarray]
+    conj_resolvent: (
+        Callable[[Precond, np.ndarray, np.ndarray | None], np.ndarray] | None
+    ) = None
 
 
 def prox_l1(x: np.ndarray, kappa) -> np.ndarray:
@@ -87,7 +97,10 @@ class QuadraticDataFit:
     When R is a real periodic convolution (``fft_symbol`` set on the
     operator) the solve is diagonalized by the real FFT, which stores
     half the spectrum; otherwise the dense inverse of Id + tau R*R is
-    formed once per step size, limited to moderate dimensions.
+    formed once per step size, limited to moderate dimensions.  The
+    solver and tau R*b are kept per step size, and the right-hand side
+    and its spectrum are formed in buffers owned by the instance, so
+    one instance must not be used from two threads at once.
     """
 
     def __init__(self, R: LinOp, b: HVector):
@@ -98,32 +111,37 @@ class QuadraticDataFit:
         self._fft = R.fft_symbol is not None
         if self._fft:
             self._sym_sq = np.abs(R.fft_symbol) ** 2
+            self._spec = np.empty_like(R.fft_symbol)
         elif R.dom_dim > DENSE_DIM_LIMIT:
             raise ValueError(
                 "dense fallback limited to dimension "
                 f"{DENSE_DIM_LIMIT}, got {R.dom_dim}"
             )
-        self._solver_cache: dict[float, np.ndarray] = {}
+        self._rhs = np.empty(R.dom_dim)
+        self._solver_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def resolvent(self, tau: float, x: np.ndarray) -> np.ndarray:
         if tau <= 0:
             raise ValueError("step size must be positive")
-        rhs = x + tau * self.rtb
-        if self._fft:
-            shape = self.R.grid_shape
-            denom = self._solver_cache.get(tau)
-            if denom is None:
-                denom = 1.0 + tau * self._sym_sq
-                self._solver_cache[tau] = denom
-            spec = np.fft.rfft2(rhs.reshape(shape))
-            spec /= denom
-            return np.fft.irfft2(spec, s=shape).ravel()
-        inv = self._solver_cache.get(tau)
-        if inv is None:
-            m = self.R.as_matrix()
-            inv = np.linalg.inv(np.eye(self.R.dom_dim) + tau * (m.T @ m))
-            self._solver_cache[tau] = inv
-        return inv @ rhs
+        cached = self._solver_cache.get(tau)
+        if cached is None:
+            if self._fft:
+                solver = 1.0 + tau * self._sym_sq
+            else:
+                m = self.R.as_matrix()
+                solver = np.linalg.inv(np.eye(self.R.dom_dim)
+                                       + tau * (m.T @ m))
+            cached = self._solver_cache[tau] = (solver, tau * self.rtb)
+        solver, tau_rtb = cached
+        rhs = np.add(x, tau_rtb, out=self._rhs)
+        if not self._fft:
+            return solver @ rhs
+        shape = self.R.grid_shape
+        spec = np.fft.rfft2(rhs.reshape(shape), out=self._spec)
+        spec /= solver
+        # the return value, not an out= buffer: numpy 2.4's irfft2
+        # returns a new array and leaves its out= argument unwritten
+        return np.fft.irfft2(spec, s=shape).ravel()
 
 
 def moreau_inverse_resolvent(
@@ -142,15 +160,19 @@ def moreau_inverse_resolvent(
     return sigma * (v - prox_g(1.0 / sigma, v))
 
 
-def dual_resolvent(op: MonotoneOp, sigma: Precond,
-                   u: np.ndarray) -> np.ndarray:
-    """Resolvent of Sigma B^{-1} derived from the primal resolvent of B.
+def dual_resolvent(op: MonotoneOp, sigma: Precond, u: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Resolvent of Sigma B^{-1} for the operator ``op`` = B.
 
-    Uses q = u - Sigma J_{Sigma^{-1} B}(Sigma^{-1} u), the
-    preconditioned Moreau decomposition.
+    Uses B's closed form ``conj_resolvent`` when it has one, and
+    otherwise q = u - Sigma J_{Sigma^{-1} B}(Sigma^{-1} u), the
+    preconditioned Moreau decomposition.  The result is written into
+    ``out`` (which may be ``u``) and returned; a new array when None.
     """
+    if op.conj_resolvent is not None:
+        return op.conj_resolvent(sigma, u, out)
     w = op.resolvent(sigma.inverse(), sigma.apply_inverse(u))
-    return u - sigma.apply(w)
+    return np.subtract(u, sigma.apply(w), out=out)
 
 
 def zero_operator() -> MonotoneOp:
@@ -199,18 +221,26 @@ def monotone_linear(mat, offset=None) -> MonotoneOp:
 
 
 def l1_operator(alpha: float) -> MonotoneOp:
-    """Subdifferential of alpha*||.||_1; resolvent is soft thresholding."""
+    """Subdifferential of alpha*||.||_1; resolvent is soft thresholding,
+    and the resolvent of Sigma times its inverse is the projection
+    clip(u, -alpha, alpha) onto the dual ball, for any diagonal Sigma."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
 
     def res(p: Precond, x: np.ndarray) -> np.ndarray:
         return prox_l1(x, alpha * _diagonal(p, "l1"))
 
-    return MonotoneOp(res)
+    def conj(sigma: Precond, u: np.ndarray, out=None) -> np.ndarray:
+        _diagonal(sigma, "l1")
+        return np.clip(u, -alpha, alpha, out=out)
+
+    return MonotoneOp(res, conj)
 
 
 def box_operator(lo: float, hi: float) -> MonotoneOp:
-    """Normal cone of the box [lo, hi]^n; resolvent is the projection."""
+    """Normal cone of the box [lo, hi]^n; resolvent is the projection,
+    and the resolvent of Sigma times its inverse is
+    u - Sigma clip(Sigma^{-1} u, lo, hi) for a diagonal Sigma."""
     if lo > hi:
         raise ValueError("empty box")
 
@@ -218,7 +248,14 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
         _diagonal(p, "box")
         return project_box(x, lo, hi)
 
-    return MonotoneOp(res)
+    def conj(sigma: Precond, u: np.ndarray, out=None) -> np.ndarray:
+        s = _diagonal(sigma, "box")
+        w = np.divide(u, s)
+        np.clip(w, lo, hi, out=w)
+        w *= s
+        return np.subtract(u, w, out=out)
+
+    return MonotoneOp(res, conj)
 
 
 def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:

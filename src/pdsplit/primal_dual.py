@@ -61,6 +61,10 @@ class PDProblem:
     positive semidefinite exactly when the step-size condition holds;
     at critical step sizes it has a nontrivial kernel and the induced
     quantity is only a seminorm.
+
+    ``pd_resolvent`` works in two primal-sized buffers built here once
+    (and the data-fit solve in its own), so one problem must not be
+    iterated from two threads at once; build one problem per thread.
     """
 
     A: MonotoneOp
@@ -69,6 +73,8 @@ class PDProblem:
     sigmas: tuple[Precond, ...]
     dual_slices: tuple[slice, ...] = field(init=False, repr=False,
                                            compare=False)
+    _work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -85,6 +91,8 @@ class PDProblem:
             slices.append(slice(off, off + s.dim))
             off += s.dim
         object.__setattr__(self, "dual_slices", tuple(slices))
+        object.__setattr__(self, "_work",
+                           (np.empty(self.dim), np.empty(self.dim)))
 
     @property
     def dim(self) -> int:
@@ -168,19 +176,30 @@ def pd_resolvent(p: PDProblem, z: np.ndarray) -> np.ndarray:
 
     The result depends on z only through V z (``p.metric``), so kernel
     components of critical configurations are ignored automatically.
+
+    ``z`` is left unchanged and the result is a new array on every
+    call; the intermediate sums live in ``p``'s workspace, and each
+    dual block is formed and resolved in place in its slot of the
+    result.
     """
     p._check_state(z)
     n = p.dim
     x = z[:n]
-    acc = np.zeros_like(x)
+    acc, tmp = p._work
+    acc.fill(0.0)
     for (_, l), sl in zip(p.blocks, p.dual_slices):
-        acc += l.adjoint(z[sl])
+        acc += l.adjoint(z[sl], out=tmp)
+    np.subtract(x, p.upsilon.apply(acc, out=acc), out=acc)
     out = np.empty_like(z)
     p_new = out[:n]
-    p_new[:] = p.A.resolvent(p.upsilon, x - p.upsilon.apply(acc))
-    t = 2.0 * p_new - x
+    p_new[:] = p.A.resolvent(p.upsilon, acc)
+    t = np.multiply(p_new, 2.0, out=tmp)
+    t -= x
     for (b, l), sig, sl in zip(p.blocks, p.sigmas, p.dual_slices):
-        out[sl] = dual_resolvent(b, sig, z[sl] + sig.apply(l.forward(t)))
+        q = l.forward(t, out=out[sl])
+        sig.apply(q, out=q)
+        q += z[sl]
+        dual_resolvent(b, sig, q, out=q)
     return out
 
 
@@ -211,9 +230,12 @@ def step_condition(
     est = 0.0
     for (_, l), s in zip(p.blocks, p.sigmas):
 
-        def fwd(v: np.ndarray, l=l, s=s) -> np.ndarray:
-            w = p.upsilon.apply_sqrt(v)
-            return p.upsilon.apply_sqrt(l.adjoint(s.apply(l.forward(w))))
+        def fwd(v: np.ndarray, out=None, l=l, s=s) -> np.ndarray:
+            w = l.adjoint(s.apply(l.forward(p.upsilon.apply_sqrt(v))))
+            if out is None:
+                return p.upsilon.apply_sqrt(w)
+            out[...] = p.upsilon.apply_sqrt(w)
+            return out
 
         op = LinOp(fwd, fwd, n, n)
         est += power_iteration_sqnorm(

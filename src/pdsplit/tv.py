@@ -125,37 +125,40 @@ def build_gradient_ops(n1: int, n2: int) -> tuple[LinOp, LinOp]:
     n = n1 * n2
     shape = (n1, n2)
 
-    def d1_fwd(v: np.ndarray) -> np.ndarray:
-        x = v.reshape(shape)
-        g = np.empty_like(x)
+    def grid(v: np.ndarray, out: np.ndarray | None):
+        # the input and the result as n1 x n2 views; copy=False raises
+        # rather than let a result land in a copy of ``out``
+        if out is None:
+            return v.reshape(shape), np.empty(shape)
+        return v.reshape(shape), out.reshape(shape, copy=False)
+
+    def d1_fwd(v: np.ndarray, out=None) -> np.ndarray:
+        x, g = grid(v, out)
         np.subtract(x[1:, :], x[:-1, :], out=g[:-1, :])
         g[-1, :] = 0.0
-        return g.ravel()
+        return g.ravel() if out is None else out
 
-    def d1_adj(v: np.ndarray) -> np.ndarray:
-        y = v.reshape(shape)
-        d = np.empty_like(y)
+    def d1_adj(v: np.ndarray, out=None) -> np.ndarray:
+        y, d = grid(v, out)
         np.negative(y[0, :], out=d[0, :])
         np.subtract(y[:-2, :], y[1:-1, :], out=d[1:-1, :])
         d[-1, :] = y[-2, :]
-        return d.ravel()
+        return d.ravel() if out is None else out
 
-    def d2_fwd(v: np.ndarray) -> np.ndarray:
-        x = v.reshape(shape)
-        g = np.empty_like(x)
+    def d2_fwd(v: np.ndarray, out=None) -> np.ndarray:
+        x, g = grid(v, out)
         np.subtract(x[:, 1:], x[:, :-1], out=g[:, :-1])
         g[:, -1] = 0.0
-        return g.ravel()
+        return g.ravel() if out is None else out
 
-    def d2_adj(v: np.ndarray) -> np.ndarray:
-        y = v.reshape(shape)
-        d = np.empty_like(y)
+    def d2_adj(v: np.ndarray, out=None) -> np.ndarray:
+        y, d = grid(v, out)
         # not np.negative(y[:, 0], out=d[:, 0]): numpy 2.4.6 writes that
         # strided column wrongly when rows are 64 bytes apart (n2 = 8)
         d[:, 0] = -y[:, 0]
         np.subtract(y[:, :-2], y[:, 1:-1], out=d[:, 1:-1])
         d[:, -1] = y[:, -2]
-        return d.ravel()
+        return d.ravel() if out is None else out
 
     d1 = LinOp(d1_fwd, d1_adj, n, n, grid_shape=shape)
     d2 = LinOp(d2_fwd, d2_adj, n, n, grid_shape=shape)
@@ -193,13 +196,20 @@ def build_gaussian_blur(
     sym_conj = np.conj(symbol)
     shape = (n1, n2)
 
-    def fwd(v: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(symbol * np.fft.rfft2(v.reshape(shape)),
-                             s=shape).ravel()
+    def filtered(sym: np.ndarray, v: np.ndarray, out: np.ndarray | None):
+        spec = np.fft.rfft2(v.reshape(shape))
+        np.multiply(sym, spec, out=spec)
+        res = np.fft.irfft2(spec, s=shape).ravel()
+        if out is None:
+            return res
+        out[...] = res
+        return out
 
-    def adj(v: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(sym_conj * np.fft.rfft2(v.reshape(shape)),
-                             s=shape).ravel()
+    def fwd(v: np.ndarray, out=None) -> np.ndarray:
+        return filtered(symbol, v, out)
+
+    def adj(v: np.ndarray, out=None) -> np.ndarray:
+        return filtered(sym_conj, v, out)
 
     n = n1 * n2
     return LinOp(fwd, adj, n, n, fft_symbol=symbol, grid_shape=shape)

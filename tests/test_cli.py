@@ -152,6 +152,13 @@ class TestSolveTV:
                    "include_equal_sigma = true": "include_equal_sigma = false"}),
         ("sweep", ["--workers", "0"]),
         ("sweep", ["--workers", "-3"]),
+        # files the config parser rejects: keys before any section
+        # header, a key given twice, a lone % (no interpolation)
+        ("solve-tv", {"[image]\n": ""}),
+        ("diagnose", {"[image]\n": ""}),
+        ("sweep", {"seeds = 0": "seeds = 0\nseeds = 1"}),
+        ("solve-tv", {"tau = 0.4": "tau = 0.4\ntau = 0.5"}),
+        ("solve-tv", {"tau = 0.4": "tau = 0.4%"}),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):

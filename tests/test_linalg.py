@@ -148,6 +148,59 @@ class TestLinOpAdjoints:
                                                rtol=0, atol=1e-15)
 
 
+LINOP_FACTORIES = {
+    "identity": lambda rng: identity_op(6),
+    "matrix": lambda rng: matrix_op(rng.standard_normal((5, 5))),
+    "matrix-wide": lambda rng: matrix_op(rng.standard_normal((3, 7))),
+    "matrix-tall": lambda rng: matrix_op(rng.standard_normal((7, 3))),
+    "d1": lambda rng: build_gradient_ops(6, 5)[0],
+    "d2": lambda rng: build_gradient_ops(6, 8)[1],
+    "blur": lambda rng: build_gaussian_blur(6, 5, 3, 1.0),
+}
+
+
+class TestOutForms:
+    @pytest.mark.parametrize("make", LINOP_FACTORIES.values(),
+                             ids=LINOP_FACTORIES.keys())
+    def test_linop_out_matches_allocating_call(self, make, rng):
+        op = make(rng)
+        for _ in range(5):
+            x = rng.standard_normal(op.dom_dim)
+            y = rng.standard_normal(op.cod_dim)
+            fwd_buf = np.full(op.cod_dim, np.nan)
+            adj_buf = np.full(op.dom_dim, np.nan)
+            fx = op.forward(x, out=fwd_buf)
+            ay = op.adjoint(y, out=adj_buf)
+            assert fx is fwd_buf and ay is adj_buf
+            np.testing.assert_array_equal(fx, op.forward(x))
+            np.testing.assert_array_equal(ay, op.adjoint(y))
+            scale = np.linalg.norm(x) * np.linalg.norm(y) + 1.0
+            assert abs(fx @ y - x @ ay) <= 1e-10 * scale
+
+    def test_linop_writes_into_a_slot_of_a_larger_array(self, rng):
+        d1, d2 = build_gradient_ops(4, 3)
+        x = rng.standard_normal(12)
+        state = np.zeros(30)
+        d2.forward(x, out=state[12:24])
+        np.testing.assert_array_equal(state[12:24], d2.forward(x))
+        assert not state[:12].any() and not state[24:].any()
+
+    @pytest.mark.parametrize("make", [
+        lambda: scalar_precond(2.5, 4),
+        lambda: diagonal_precond([0.5, 1.0, 2.0, 3.0]),
+        lambda: matrix_precond(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.2),
+    ], ids=["scalar", "diagonal", "matrix"])
+    def test_precond_apply_out(self, make, rng):
+        p = make()
+        v = rng.standard_normal(4)
+        want = p.apply(v)
+        buf = np.full(4, np.nan)
+        assert p.apply(v, out=buf) is buf
+        np.testing.assert_array_equal(buf, want)
+        assert p.apply(v, out=v) is v
+        np.testing.assert_array_equal(v, want)
+
+
 class TestPowerIteration:
     def test_identity(self):
         assert power_iteration_sqnorm(identity_op(10)) == pytest.approx(1.0)

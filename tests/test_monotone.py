@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdsplit import (
     QuadraticDataFit,
@@ -248,6 +252,55 @@ class TestDualResolvent:
             l1_operator(1.0), diagonal_precond(d), u
         )
         np.testing.assert_allclose(got, np.clip(u, -1, 1), atol=1e-12)
+
+
+class TestConjResolvent:
+    """The closed forms of ``conj_resolvent`` against the Moreau path
+    that ``dual_resolvent`` takes for a family without one."""
+
+    FAMILIES = {
+        "l1": lambda: l1_operator(0.7),
+        "box": lambda: box_operator(-0.5, 2.0),
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           diagonal=st.booleans(),
+           out_mode=st.sampled_from(["none", "separate", "input"]),
+           log_sigma=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_moreau_path(self, family, diagonal, out_mode,
+                                 log_sigma, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        if diagonal:
+            sigma = diagonal_precond(10.0 ** rng.uniform(log_sigma - 1.0,
+                                                         log_sigma + 1.0, n))
+        else:
+            sigma = scalar_precond(10.0 ** log_sigma, n)
+        op = self.FAMILIES[family]()
+        assert op.conj_resolvent is not None
+        u = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 3, n)
+        want = dual_resolvent(
+            dataclasses.replace(op, conj_resolvent=None), sigma, u
+        )
+        given_u = u.copy()
+        out = {"none": None, "separate": np.full(n, np.nan),
+               "input": given_u}[out_mode]
+        got = dual_resolvent(op, sigma, given_u, out=out)
+        if out is not None:
+            assert got is out
+        if out is not given_u:
+            np.testing.assert_array_equal(given_u, u)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matrix_sigma_unsupported(self, family):
+        sigma = matrix_precond(np.diag([1.0, 2.0]) + 0.1)
+        with pytest.raises(UnsupportedPreconditionerError):
+            dual_resolvent(self.FAMILIES[family](), sigma,
+                           np.array([1.0, -3.0]))
 
 
 class TestFirmNonexpansiveness:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from pdsplit import (
+    ImageGrid,
     MonotoneOp,
     PDProblem,
     RelaxationSchedule,
     StepSizeConditionError,
+    TVConfig,
+    build_gaussian_blur,
+    build_problem,
     dense_range_diagnostics,
     hvector,
     identity_op,
@@ -102,6 +106,27 @@ class TestPDResolvent:
             jz, jw = pd_resolvent(p, z), pd_resolvent(p, w)
             inner = (jz - jw) @ p.metric((z - jz) - (w - jw))
             assert inner >= -1e-9
+
+    @pytest.mark.parametrize("make", [
+        random_instance,
+        lambda rng: build_problem(
+            TVConfig(0.4, 0.3, 0.3, 0.1, alpha=0.05),
+            ImageGrid(rng.uniform(0.0, 1.0, (5, 4)), peak=1.0),
+            build_gaussian_blur(5, 4, 3, 1.0)),
+    ], ids=["dense", "tv"])
+    def test_input_kept_and_results_fresh(self, make, rng):
+        # the workspace is reused across calls; the input and every
+        # result handed out must not be
+        p = make(rng)
+        z, w = random_state(rng, p), random_state(rng, p)
+        z_copy = z.copy()
+        first = pd_resolvent(p, z)
+        np.testing.assert_array_equal(z, z_copy)
+        kept = first.copy()
+        second = pd_resolvent(p, w)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(pd_resolvent(p, z), kept)
 
     def test_block_mismatch(self, rng):
         p = scalar_instance()
