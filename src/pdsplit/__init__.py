@@ -31,7 +31,6 @@ from .monotone import (
     dual_resolvent,
     l1_operator,
     monotone_linear,
-    moreau_inverse_resolvent,
     project_box,
     prox_l1,
     zero_operator,

@@ -68,7 +68,7 @@ _KNOWN_KEYS = {
     "noise": {"std_rel"},
     "solver": {
         "problem", "tau", "sigma", "sigma1", "sigma2", "sigma3",
-        "gamma1", "gamma2", "stepsizes", "alpha", "lambda", "eps",
+        "gamma1", "gamma2", "alpha", "lambda", "eps",
         "max_iter", "seed",
     },
     "sweep": {
@@ -218,29 +218,28 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
         observed = ImageGrid(pixels, instance.peak)
         clean = None
 
-    mode = sol.get("stepsizes")
-    if mode is None:
-        if "sigma1" in sol:
-            mode = "explicit"
-        elif "gamma1" in sol:
-            mode = "gamma"
-        else:
-            mode = "equal"
+    # the step sizes are explicit sigmas, boundary gammas or, when
+    # neither is given, the shared equal sigma
+    explicit = [k for k in ("sigma1", "sigma2", "sigma3") if k in sol]
+    boundary = [k for k in ("gamma1", "gamma2") if k in sol]
+    if explicit and boundary:
+        raise ConfigError(
+            f"step sizes given both ways ({', '.join(explicit + boundary)});"
+            " give sigma1..sigma3 or gamma1 and gamma2"
+        )
     d1_sq = gradient_norm_sq(instance.n1)
     d2_sq = gradient_norm_sq(instance.n2)
-    if mode == "explicit":
+    if explicit:
         sigmas = tuple(float(_option(cp, "solver", key))
                        for key in ("sigma1", "sigma2", "sigma3"))
-    elif mode == "gamma":
+    elif boundary:
         sigmas = boundary_sigmas(
             tau, float(_option(cp, "solver", "gamma1")),
             float(_option(cp, "solver", "gamma2")), d1_sq, d2_sq
         )
-    elif mode == "equal":
+    else:
         s = equal_critical_sigma(tau, d1_sq, d2_sq)
         sigmas = (s, s, s)
-    else:
-        raise ConfigError(f"unknown stepsizes mode {mode!r}")
 
     cfg = instance.config(tau, sigmas, lam, seed)
     check_config(cfg, observed.shape)
@@ -251,22 +250,24 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
         cfg, observed, R, clean = _tv_setup(cp, args)
+        fmt = cp.get("output", "format", fallback="P5")
+        if fmt.upper() not in ("P2", "P5"):
+            raise ConfigError(
+                f"unknown [output] format {fmt!r}; expected P2 or P5"
+            )
         out_dir = _out_dir(cp, args)
-        ascii_format = (
-            cp.get("output", "format", fallback="P5").upper() == "P2"
-        )
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     run = run_tv_solver(cfg, observed, R, record_objective=True)
     # quantize the dynamic range [0, peak] onto the 8-bit scale
     write_pgm(
         out_dir / "restored.pgm",
         run.image.pixels * (255.0 / observed.peak),
         maxval=255,
-        ascii_format=ascii_format,
+        ascii_format=fmt.upper() == "P2",
     )
     write_trace_csv(out_dir / "trace.csv", run.trace)
     obj = tv_objective(run.image, R, observed.pixels, cfg.alpha)
@@ -314,11 +315,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         instance = _instance(cp, args)
         out_dir = _out_dir(cp, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = sweep(grid, instance, seeds, workers=args.workers)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     n_conv = sum(1 for r in rows if r["converged"])

@@ -126,15 +126,6 @@ def pd_drs_iterate(
     return PDDRSResult(**vars(result), z_sequence=collector.values)
 
 
-def _solve_id_plus_sq(upsilon: Precond, arr: np.ndarray) -> np.ndarray:
-    """(Id + Y^2)^{-1} applied to a flat array; closed form for a
-    diagonal preconditioner, dense solve otherwise."""
-    if upsilon.diag is not None:
-        return arr / (1.0 + upsilon.diag ** 2)
-    m = upsilon.matrix
-    return np.linalg.solve(np.eye(upsilon.dim) + m @ m, arr)
-
-
 def fixed_point_transport(
     p: DRSProblem, z_hat: HVector | np.ndarray, tol: float = 1e-8
 ) -> np.ndarray:
@@ -152,7 +143,7 @@ def fixed_point_transport(
         raise ValueError(
             f"z_hat is not a fixed point to tolerance ({drift:.3e})"
         )
-    w = _solve_id_plus_sq(p.upsilon, z)
+    w = p.upsilon.map(lambda d: 1.0 / (1.0 + d * d)).apply(z)
     return np.concatenate((w, -p.upsilon.apply(w)))
 
 

@@ -176,17 +176,19 @@ class Precond:
 
     Either a positive diagonal ``diag`` (a float or a 1-D array; numpy
     broadcasting covers both) or a dense symmetric positive-definite
-    ``matrix``, stored with its inverse and its self-adjoint square
-    root.  Resolvent families read ``diag`` for their closed forms.
-    ``apply`` takes the ``out=`` form of ``LinOp`` and also allows
-    ``out`` to be its input.
+    ``matrix``, stored with its eigendecomposition ``eig`` = (w, u),
+    matrix = u diag(w) u^T.  Functions of the operator (``map``,
+    ``inverse``, ``sqrt``) are formed from ``diag`` or from ``eig``.
+    Resolvent families read ``diag`` for their closed forms.  ``apply``
+    takes the ``out=`` form of ``LinOp`` and also allows ``out`` to be
+    its input.
     """
 
     dim: int
     diag: float | np.ndarray | None = None
     matrix: np.ndarray | None = None
-    matrix_inv: np.ndarray | None = field(default=None, repr=False)
-    matrix_sqrt: np.ndarray | None = field(default=None, repr=False)
+    eig: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                       repr=False)
 
     def apply(self, v: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -196,25 +198,33 @@ class Precond:
             return np.multiply(self.diag, v, out=out)
         return np.matmul(self.matrix, v, out=out)
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+    def map(self, f: Callable) -> "Precond":
+        """f(P) for a positive function ``f`` acting elementwise on
+        arrays: f of the diagonal, or u diag(f(w)) u^T; a new operator
+        on every call."""
         if self.matrix is None:
-            return v / self.diag
-        return self.matrix_inv @ v
-
-    def apply_sqrt(self, v: np.ndarray) -> np.ndarray:
-        if self.matrix is None:
-            return np.sqrt(self.diag) * v
-        return self.matrix_sqrt @ v
+            return Precond(self.dim, diag=f(self.diag))
+        w, u = self.eig
+        fw = _freeze(f(w))
+        return Precond(self.dim, matrix=_freeze((u * fw) @ u.T),
+                       eig=(fw, u))
 
     def inverse(self) -> "Precond":
         """P^{-1}, built once: every call returns the same object."""
         return self._inverse
 
+    def sqrt(self) -> "Precond":
+        """The self-adjoint square root of P, built once: every call
+        returns the same object."""
+        return self._sqrt
+
     @cached_property
     def _inverse(self) -> "Precond":
-        if self.matrix is None:
-            return Precond(self.dim, diag=1.0 / self.diag)
-        return matrix_precond(np.linalg.inv(self.matrix))
+        return self.map(lambda d: 1.0 / d)
+
+    @cached_property
+    def _sqrt(self) -> "Precond":
+        return self.map(np.sqrt)
 
     def as_matrix(self) -> np.ndarray:
         if self.matrix is None:
@@ -245,12 +255,8 @@ def matrix_precond(mat: np.ndarray) -> Precond:
     w, u = np.linalg.eigh(m)
     if not w.min() > 0:
         raise ValueError("matrix preconditioner must be positive definite")
-    return Precond(
-        m.shape[0],
-        matrix=_freeze(m),
-        matrix_inv=(u * (1.0 / w)) @ u.T,
-        matrix_sqrt=(u * np.sqrt(w)) @ u.T,
-    )
+    return Precond(m.shape[0], matrix=_freeze(m),
+                   eig=(_freeze(w), _freeze(u)))
 
 
 def power_iteration_sqnorm(

@@ -28,7 +28,6 @@ __all__ = [
     "UnsupportedPreconditionerError",
     "prox_l1",
     "project_box",
-    "moreau_inverse_resolvent",
     "dual_resolvent",
     "zero_operator",
     "monotone_linear",
@@ -144,22 +143,6 @@ class QuadraticDataFit:
         return np.fft.irfft2(spec, s=shape).ravel()
 
 
-def moreau_inverse_resolvent(
-    prox_g: Callable[[float, np.ndarray], np.ndarray],
-    sigma: float,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Resolvent of sigma*(dg)^{-1} given the prox family of g.
-
-    ``prox_g(kappa, v)`` must evaluate the prox of kappa*g at v.  The
-    inversion identity gives sigma*(u/sigma - prox_{g/sigma}(u/sigma)).
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    v = u / sigma
-    return sigma * (v - prox_g(1.0 / sigma, v))
-
-
 def dual_resolvent(op: MonotoneOp, sigma: Precond, u: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Resolvent of Sigma B^{-1} for the operator ``op`` = B.
@@ -171,7 +154,8 @@ def dual_resolvent(op: MonotoneOp, sigma: Precond, u: np.ndarray,
     """
     if op.conj_resolvent is not None:
         return op.conj_resolvent(sigma, u, out)
-    w = op.resolvent(sigma.inverse(), sigma.apply_inverse(u))
+    inv = sigma.inverse()
+    w = op.resolvent(inv, inv.apply(u))
     return np.subtract(u, sigma.apply(w), out=out)
 
 

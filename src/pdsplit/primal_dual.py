@@ -119,8 +119,8 @@ class PDProblem:
         for (_, l), s, sl in zip(self.blocks, self.sigmas, self.dual_slices):
             u = z[sl]
             acc += l.adjoint(u)
-            out[sl] = s.apply_inverse(u) - l.forward(x)
-        out[:n] = self.upsilon.apply_inverse(x) - acc
+            out[sl] = s.inverse().apply(u) - l.forward(x)
+        out[:n] = self.upsilon.inverse().apply(x) - acc
         return out
 
     def seminorm(self, z: np.ndarray) -> float:
@@ -227,15 +227,13 @@ def step_condition(
     theory covers the equality case).
     """
     n = p.dim
+    root = p.upsilon.sqrt()
     est = 0.0
     for (_, l), s in zip(p.blocks, p.sigmas):
 
         def fwd(v: np.ndarray, out=None, l=l, s=s) -> np.ndarray:
-            w = l.adjoint(s.apply(l.forward(p.upsilon.apply_sqrt(v))))
-            if out is None:
-                return p.upsilon.apply_sqrt(w)
-            out[...] = p.upsilon.apply_sqrt(w)
-            return out
+            w = l.adjoint(s.apply(l.forward(root.apply(v))))
+            return root.apply(w, out=out)
 
         op = LinOp(fwd, fwd, n, n)
         est += power_iteration_sqnorm(

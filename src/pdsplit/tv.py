@@ -26,7 +26,7 @@ from .monotone import (
     data_fit_operator,
     l1_operator,
 )
-from .primal_dual import PDProblem, pd_iterate
+from .primal_dual import COND_TOL, PDProblem, pd_iterate
 
 __all__ = [
     "ImageGrid",
@@ -84,8 +84,9 @@ class TVConfig:
     """Step sizes, regularization and run controls for one solve.
 
     The step sizes must satisfy
-    tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3) <= 1 + 1e-4
-    on the target grid; ``build_problem`` enforces this.
+    tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3)
+    <= 1 + primal_dual.COND_TOL on the target grid; ``build_problem``
+    enforces this.
     """
 
     tau: float
@@ -342,7 +343,7 @@ def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
         cfg.sigma1 * gradient_norm_sq(shape[0])
         + cfg.sigma2 * gradient_norm_sq(shape[1]) + cfg.sigma3
     )
-    if not bound <= 1.0 + 1e-4:
+    if not bound <= 1.0 + COND_TOL:
         raise ValueError(
             f"step sizes violate the boundary condition ({bound:.6f} > 1)"
         )

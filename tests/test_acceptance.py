@@ -8,6 +8,7 @@ level 1e-3 and seed 0; its step sizes sit exactly on the critical
 boundary (tau=0.4, gamma1=0.6, gamma2=0.01).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -28,15 +29,16 @@ from pdsplit import (
     build_gaussian_blur,
     build_gradient_ops,
     drs_iterate,
+    dual_resolvent,
     equivalence_deviation,
     fixed_point_transport,
     as_pd_problem,
     gradient_norm_sq,
     hvector,
     identity_op,
+    l1_operator,
     matrix_op,
     monotone_linear,
-    moreau_inverse_resolvent,
     pd_iterate,
     pd_resolvent,
     power_iteration_sqnorm,
@@ -175,11 +177,12 @@ def test_criterion_01_prox_resolvent_oracles():
                                x + tau * mat.T @ b)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
-    prox_abs = lambda k, v: prox_l1(v, k)
+    # the Moreau path of the dual resolvent, without l1's closed form
+    l1_moreau = dataclasses.replace(l1_operator(1.0), conj_resolvent=None)
     for _ in range(100):
         u = rng.uniform(-4, 4, size=8)
         sigma = float(rng.uniform(0.2, 3.0))
-        got = moreau_inverse_resolvent(prox_abs, sigma, u)
+        got = dual_resolvent(l1_moreau, scalar_precond(sigma, 8), u)
         np.testing.assert_allclose(got, np.clip(u, -1.0, 1.0), atol=1e-10)
 
     elapsed = time.perf_counter() - t0

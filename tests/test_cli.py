@@ -159,6 +159,10 @@ class TestSolveTV:
         ("sweep", {"seeds = 0": "seeds = 0\nseeds = 1"}),
         ("solve-tv", {"tau = 0.4": "tau = 0.4\ntau = 0.5"}),
         ("solve-tv", {"tau = 0.4": "tau = 0.4%"}),
+        # step sizes given both as sigmas and as gammas
+        ("solve-tv", {"gamma2 = 0.01": "gamma2 = 0.01\nsigma3 = 0.1"}),
+        ("diagnose", {"gamma1 = 0.6": "gamma1 = 0.6\nsigma1 = 0.1\n"
+                                      "sigma2 = 0.1\nsigma3 = 0.1"}),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):
@@ -187,7 +191,7 @@ class TestSolveTV:
         ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
                       "sigma1 = 0.1\nsigma3 = 0.1"}, "'sigma2'"),
         ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
-                      "stepsizes = explicit"}, "'sigma1'"),
+                      "sigma2 = 0.1\nsigma3 = 0.1"}, "'sigma1'"),
         ("solve-tv", {"gamma2 = 0.01\n": ""}, "'gamma2'"),
         ("diagnose", {"gamma2 = 0.01\n": ""}, "'gamma2'"),
     ])
@@ -261,6 +265,50 @@ out_dir = {out}
         assert (out / "restored.pgm").exists()
 
 
+class TestOutput:
+    @pytest.mark.parametrize("command,where", [
+        ("solve-tv", "flag"), ("solve-tv", "config"), ("sweep", "flag"),
+    ])
+    def test_out_dir_naming_a_file_is_config_error(self, tmp_path, capsys,
+                                                   command, where):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        text = SWEEP_CONFIG if command == "sweep" else SOLVE_CONFIG
+        out = taken if where == "config" else tmp_path / "o"
+        argv = [command, "--config", write_config(tmp_path, text, out=out)]
+        if where == "flag":
+            argv += ["--out-dir", str(taken)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("fmt", ["P2", "p2", "P5", "p5"])
+    def test_format_names_the_pgm_encoding(self, tmp_path, fmt):
+        out = tmp_path / "out"
+        text = SOLVE_CONFIG.replace("out_dir = {out}",
+                                    f"out_dir = {{out}}\nformat = {fmt}")
+        cfg = write_config(tmp_path, text, out=str(out))
+        assert main(["solve-tv", "--config", cfg, "--max-iter", "2"]) == 2
+        assert (out / "restored.pgm").read_bytes()[:2] == fmt.upper().encode()
+        pixels, _ = read_pgm(out / "restored.pgm")
+        assert pixels.shape == (32, 32)
+
+    def test_unknown_format_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = SOLVE_CONFIG.replace("out_dir = {out}",
+                                    "out_dir = {out}\nformat = P7")
+        cfg = write_config(tmp_path, text, out=str(out))
+        assert main(["solve-tv", "--config", cfg]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and "'P7'" in line
+        assert not out.exists()
+
+
 class TestPGMSize:
     """Step sizes follow the loaded image's grid, not the n1/n2 keys."""
 
@@ -309,7 +357,7 @@ max_iter = 3
     def test_equal_sigma_of_a_32_image(self, tmp_path):
         from pdsplit import equal_critical_sigma, gradient_norm_sq
 
-        _, setup = self._setup(tmp_path, 32, "stepsizes = equal")
+        _, setup = self._setup(tmp_path, 32, "")
         c, _, R, _ = setup()
         d = gradient_norm_sq(32)
         assert c.sigma1 == c.sigma2 == c.sigma3 \
@@ -317,7 +365,7 @@ max_iter = 3
         assert R.dom_dim == 32 * 32
 
     def test_contradicting_size_key_is_config_error(self, tmp_path, capsys):
-        cfg, _ = self._setup(tmp_path, 32, "stepsizes = equal",
+        cfg, _ = self._setup(tmp_path, 32, "",
                              size_keys="n1 = 64")
         rc = main(["solve-tv", "--config", cfg])
         captured = capsys.readouterr()

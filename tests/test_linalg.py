@@ -62,9 +62,10 @@ class TestPrecond:
     def test_inverse_and_sqrt(self, make, rng):
         p = make()
         v = rng.standard_normal(p.dim)
-        np.testing.assert_allclose(p.apply_inverse(p.apply(v)), v, rtol=1e-12)
+        np.testing.assert_allclose(p.inverse().apply(p.apply(v)), v,
+                                   rtol=1e-12)
         np.testing.assert_allclose(
-            p.apply_sqrt(p.apply_sqrt(v)), p.apply(v), rtol=1e-12
+            p.sqrt().apply(p.sqrt().apply(v)), p.apply(v), rtol=1e-12
         )
 
     @pytest.mark.parametrize("make", [

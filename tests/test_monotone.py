@@ -17,7 +17,6 @@ from pdsplit import (
     matrix_op,
     matrix_precond,
     monotone_linear,
-    moreau_inverse_resolvent,
     project_box,
     prox_l1,
     scalar_precond,
@@ -154,31 +153,30 @@ class TestResolventQuadratic:
 
 
 class TestMoreauInverseResolvent:
+    """The Moreau path of ``dual_resolvent``, q = u - S J_{S^-1 B}(S^-1 u),
+    which a family without a closed form takes; the l1 family is sent
+    down it by dropping its ``conj_resolvent``."""
+
     @staticmethod
-    def _prox_abs(kappa, v):
-        return prox_l1(v, kappa)
+    def _moreau(op, sigma, u):
+        return dual_resolvent(dataclasses.replace(op, conj_resolvent=None),
+                              scalar_precond(sigma, u.size), u)
 
     def test_zero_function_collapses(self, rng):
-        prox_id = lambda kappa, v: v
         u = rng.standard_normal(8)
-        out = moreau_inverse_resolvent(prox_id, 2.0, u)
+        out = self._moreau(zero_operator(), 2.0, u)
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_scalar_projection_oracle(self):
         # dual resolvent of |.| is the projection onto [-1, 1], any sigma
         for sigma in (0.5, 1.0, 3.0):
             for u, want in [(0.3, 0.3), (5.0, 1.0), (-2.0, -1.0)]:
-                got = moreau_inverse_resolvent(
-                    self._prox_abs, sigma, np.array([u])
-                )[0]
+                got = self._moreau(l1_operator(1.0), sigma, np.array([u]))[0]
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_projection_oracle_vectors(self, rng):
-        sigma = 1.7
         u = rng.uniform(-4, 4, size=100)
-        got = moreau_inverse_resolvent(
-            self._prox_abs, sigma, u
-        )
+        got = self._moreau(l1_operator(1.0), 1.7, u)
         np.testing.assert_allclose(got, np.clip(u, -1.0, 1.0), atol=1e-10)
 
     def test_moreau_identity_roundtrip(self, rng):
@@ -186,14 +184,12 @@ class TestMoreauInverseResolvent:
         for _ in range(50):
             v = rng.standard_normal(6)
             lhs = prox_l1(v, 1.0 / sigma) \
-                + moreau_inverse_resolvent(
-                    self._prox_abs, sigma, sigma * v
-                ) / sigma
+                + self._moreau(l1_operator(1.0), sigma, sigma * v) / sigma
             np.testing.assert_allclose(lhs, v, atol=1e-10)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            moreau_inverse_resolvent(self._prox_abs, 0.0, np.array([1.0]))
+            self._moreau(l1_operator(1.0), 0.0, np.array([1.0]))
 
 
 class TestResolventGeneric:
@@ -239,9 +235,8 @@ class TestDualResolvent:
         op = l1_operator(alpha)
         u = rng.standard_normal(10)
         got = dual_resolvent(op, scalar_precond(sigma, 10), u)
-        want = moreau_inverse_resolvent(
-            lambda k, v: prox_l1(v, alpha * np.asarray(k)), sigma, u
-        )
+        want = dual_resolvent(dataclasses.replace(op, conj_resolvent=None),
+                              scalar_precond(sigma, 10), u)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_diagonal_preconditioner(self, rng):

@@ -1,23 +1,33 @@
 """Property tests of the paper's structural claims over random instances."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
+    DRSProblem,
     ImageGrid,
+    RelaxationSchedule,
     TVConfig,
+    as_pd_problem,
     boundary_sigmas,
     build_gaussian_blur,
     build_problem,
     dense_range_diagnostics,
     diagonal_precond,
+    equivalence_deviation,
+    fixed_point_transport,
     gradient_norm_sq,
+    matrix_op,
     matrix_precond,
     monotone_linear,
     pd_resolvent,
     scalar_precond,
+    zero_operator,
 )
+
+from conftest import metric_problem
 
 fraction = st.floats(0.05, 0.95)
 
@@ -89,15 +99,16 @@ def test_metric_and_resolvent_at_critical_steps(n1, n2, tau, gamma1, gamma2,
         assert (jz - jw) @ step >= -1e-10 * norm(jz - jw) * norm(step)
 
 
-def random_precond(kind, rng, n):
-    """A scalar, diagonal or dense preconditioner with spectrum in
-    [0.2, 3]."""
+def random_precond(kind, rng, n, draw=None):
+    """A scalar, diagonal or dense preconditioner whose eigenvalues come
+    from ``draw(size)``, uniform on [0.2, 3] when omitted."""
+    draw = draw or (lambda size=None: rng.uniform(0.2, 3.0, size))
     if kind == "scalar":
-        return scalar_precond(rng.uniform(0.2, 3.0), n)
+        return scalar_precond(draw(), n)
     if kind == "diagonal":
-        return diagonal_precond(rng.uniform(0.2, 3.0, n))
+        return diagonal_precond(draw(n))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return matrix_precond((q * rng.uniform(0.2, 3.0, n)) @ q.T)
+    return matrix_precond((q * draw(n)) @ q.T)
 
 
 preconds = st.sampled_from(("scalar", "diagonal", "dense"))
@@ -136,3 +147,96 @@ def test_linear_resolvent_solves_and_never_reuses_a_stale_inverse(
         assert np.array_equal(y, fresh)
     for p in (p1, p2):
         assert p.inverse() is p.inverse()
+
+
+@examples
+@example(log_cond=2.0, seed=0)
+@example(log_cond=12.0, seed=0)
+@given(log_cond=st.floats(2.0, 12.0), seed=st.integers(0, 2**32 - 1))
+def test_functions_of_an_ill_conditioned_precond(log_cond, seed):
+    # a 20x20 SPD matrix with a random orthogonal basis and a geometric
+    # spectrum from 1 to cond: its inverse and square root come from
+    # the one eigendecomposition matrix_precond validated
+    rng = np.random.default_rng(seed)
+    n, cond = 20, 10.0 ** log_cond
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    p = matrix_precond((q * np.geomspace(1.0, cond, n)) @ q.T)
+    inv, root = p.inverse(), p.sqrt()
+    assert p.inverse() is inv and p.sqrt() is root
+    norm = np.linalg.norm
+    for _ in range(5):
+        v = rng.standard_normal(n)
+        pv = p.apply(v)
+        assert norm(inv.apply(pv) - v) <= 1e-15 * cond * norm(v)
+        assert norm(root.apply(root.apply(v)) - pv) <= 1e-13 * norm(pv)
+    as_pd_problem(DRSProblem(zero_operator(), zero_operator(), p))
+
+    # V z applied and V as a matrix agree with dense preconditioners
+    m = 7
+    a = rng.standard_normal((m, m))
+    sigma = matrix_precond(a @ a.T + np.eye(m))
+    problem = metric_problem(p, sigma,
+                             matrix_op(rng.standard_normal((m, n))))
+    z = rng.standard_normal(n + m)
+    want = problem.metric_matrix() @ z
+    assert norm(problem.metric(z) - want) <= 1e-12 * norm(want)
+
+
+def dense_drs(kind, rng, n):
+    """Affine A and B with symmetric positive-definite slopes, a
+    preconditioner Y with spectrum in [10^-1.5, 10^1.5] (condition
+    number at most 1e3), the exact zero x* of A + B and A x*."""
+
+    def draw(size=None):
+        return 10.0 ** rng.uniform(-1.5, 1.5, size)
+
+    slopes, offsets = [], []
+    for _ in range(2):
+        q = rng.standard_normal((n, n)) / np.sqrt(n)
+        slopes.append(q @ q.T + 0.3 * np.eye(n))
+        offsets.append(rng.standard_normal(n))
+    p = DRSProblem(A=monotone_linear(slopes[0], offsets[0]),
+                   B=monotone_linear(slopes[1], offsets[1]),
+                   upsilon=random_precond(kind, rng, n, draw))
+    x_star = -np.linalg.solve(slopes[0] + slopes[1],
+                              offsets[0] + offsets[1])
+    return p, x_star, slopes[0] @ x_star + offsets[0]
+
+
+# relaxation parameters anywhere in [0, 2], and within 1e-3 of 0 or 2
+relaxations = st.lists(
+    st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e-3),
+              st.floats(2.0 - 1e-3, 2.0)),
+    min_size=1, max_size=40,
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@examples
+@given(n=st.integers(1, 8), kind=preconds, lams=relaxations,
+       seed=st.integers(0, 2**32 - 1))
+def test_drs_and_primal_dual_sequences_agree(n, kind, lams, seed):
+    # the auxiliary sequence x_n - Y u_n of the primal-dual recurrence
+    # is the classic relaxed DRS sequence, step by step
+    rng = np.random.default_rng(seed)
+    p, _, _ = dense_drs(kind, rng, n)
+    x0, u0 = rng.standard_normal(n), rng.standard_normal(n)
+    sched = RelaxationSchedule.from_sequence(lams)
+    assert equivalence_deviation(p, x0, u0, sched, 40) <= 1e-10
+
+
+@examples
+@given(n=st.integers(1, 8), kind=preconds, seed=st.integers(0, 2**32 - 1))
+def test_fixed_point_transport_round_trips(n, kind, seed):
+    # z = x* + Y A x* is fixed by the DRS map; its transported state
+    # (x, u) gives back z = x - Y u, and one primal-dual resolvent step
+    # from it lands on the zero x*
+    rng = np.random.default_rng(seed)
+    p, x_star, a_star = dense_drs(kind, rng, n)
+    z = x_star + p.upsilon.apply(a_star)
+    state = fixed_point_transport(p, z)
+    norm = np.linalg.norm
+    back = state[:n] - p.upsilon.apply(state[n:])
+    assert norm(back - z) <= 1e-12 * (1.0 + norm(z))
+    x_next = pd_resolvent(as_pd_problem(p), state)[:n]
+    assert norm(x_next - x_star) <= 1e-10 * (1.0 + norm(x_star))
