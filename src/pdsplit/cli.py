@@ -246,15 +246,22 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     return cfg, observed, R, clean
 
 
+def _output_format(cp: configparser.ConfigParser) -> str:
+    """The PGM flavour of ``[output] format``, P2 or P5; every command
+    that takes a config checks it, though only solve-tv writes images."""
+    fmt = cp.get("output", "format", fallback="P5")
+    if fmt.upper() not in ("P2", "P5"):
+        raise ConfigError(
+            f"unknown [output] format {fmt!r}; expected P2 or P5"
+        )
+    return fmt.upper()
+
+
 def cmd_solve_tv(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
         cfg, observed, R, clean = _tv_setup(cp, args)
-        fmt = cp.get("output", "format", fallback="P5")
-        if fmt.upper() not in ("P2", "P5"):
-            raise ConfigError(
-                f"unknown [output] format {fmt!r}; expected P2 or P5"
-            )
+        fmt = _output_format(cp)
         out_dir = _out_dir(cp, args)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
@@ -267,10 +274,10 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         out_dir / "restored.pgm",
         run.image.pixels * (255.0 / observed.peak),
         maxval=255,
-        ascii_format=fmt.upper() == "P2",
+        ascii_format=fmt == "P2",
     )
     write_trace_csv(out_dir / "trace.csv", run.trace)
-    obj = tv_objective(run.image, R, observed.pixels, cfg.alpha)
+    obj = tv_objective(run.image, run.fit, cfg.alpha)
     quality = psnr(run.image, clean) if clean is not None else math.nan
     print(
         f"iterations={run.iterations} converged={run.converged} "
@@ -284,6 +291,7 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
+        _output_format(cp)
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got "
                               f"{args.workers}")
@@ -371,6 +379,7 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
+        _output_format(cp)
         sol = cp["solver"] if cp.has_section("solver") else {}
         kind = sol.get("problem", "tv")
         if kind == "tv":
@@ -389,6 +398,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 upsilon=scalar_precond(tau, dim),
                 sigmas=(scalar_precond(sig, dim),),
             )
+            unread = [k for k in ("gamma1", "gamma2") if k in sol]
+            if unread:
+                raise ConfigError(
+                    f"key {unread[0]!r} in section [solver] does not apply "
+                    "to problem = identity"
+                )
         else:
             raise ConfigError(f"unknown problem kind {kind!r}")
     except (ConfigError, ValueError, OSError) as exc:

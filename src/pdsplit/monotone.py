@@ -8,9 +8,11 @@ Moreau-type inversion identity, so soft thresholding, box projections
 and quadratic data-fit solves cover the whole experiment.
 
 Resolvents act on flat float64 arrays.  A primal resolvent may return
-its input unchanged (the zero operator does), so callers must not
-write into its result in place.  Dual resolvents take ``out=``: they
-write into it, which may be their input, and return it.
+its input unchanged (the zero operator does) or a buffer that its next
+call overwrites (the FFT data fit does), so callers must not write
+into its result in place and must copy what they keep.  Dual
+resolvents take ``out=``: they write into it, which may be their
+input, and return it.
 """
 
 from __future__ import annotations
@@ -90,27 +92,34 @@ def project_box(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 class QuadraticDataFit:
-    """Least-squares data-fit term 0.5*||R y - b||^2 via its resolvent.
+    """Least-squares data-fit term 0.5*||R y - b||^2: its value and its
+    resolvent.
 
     The resolvent at step tau solves (Id + tau R*R) y = x + tau R*b.
     When R is a real periodic convolution (``fft_symbol`` set on the
     operator) the solve is diagonalized by the real FFT, which stores
-    half the spectrum; otherwise the dense inverse of Id + tau R*R is
-    formed once per step size, limited to moderate dimensions.  The
-    solver and tau R*b are kept per step size, and the right-hand side
-    and its spectrum are formed in buffers owned by the instance, so
-    one instance must not be used from two threads at once.
+    half the spectrum, and the instance also keeps b's spectrum;
+    otherwise the dense inverse of Id + tau R*R is formed once per
+    step size, limited to moderate dimensions.  The solver and tau R*b
+    are kept per step size.  The right-hand side and its spectrum are
+    formed in buffers owned by the instance, and the FFT solve writes
+    its solution over the right-hand side once the spectrum holds it:
+    the FFT resolvent returns that buffer, which the next call
+    overwrites, and one instance must not be used from two threads at
+    once.
     """
 
     def __init__(self, R: LinOp, b: HVector):
         if R.cod_dim != b.size:
             raise ValueError("observation does not match operator codomain")
         self.R = R
-        self.rtb = R.adjoint(b.data)
+        self._b = b.data
         self._fft = R.fft_symbol is not None
         if self._fft:
-            self._sym_sq = np.abs(R.fft_symbol) ** 2
+            self._b_hat = np.fft.rfft2(b.data.reshape(R.grid_shape))
             self._spec = np.empty_like(R.fft_symbol)
+            # the spectrum's (real, imaginary) pairs as float64 columns
+            self._spec_parts = self._spec.view(np.float64)
         elif R.dom_dim > DENSE_DIM_LIMIT:
             raise ValueError(
                 "dense fallback limited to dimension "
@@ -119,28 +128,62 @@ class QuadraticDataFit:
         self._rhs = np.empty(R.dom_dim)
         self._solver_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
+    def value(self, x: np.ndarray) -> float:
+        """0.5*||R x - b||^2 for a flat array x.
+
+        On the FFT path this is Parseval's identity on the half
+        spectrum, formed in the spectrum buffer: each column other than
+        0 and n2/2 stands for itself and its mirror image, so it counts
+        twice.
+        """
+        if not self._fft:
+            r = self.R.forward(x) - self._b
+            return 0.5 * float(r @ r)
+        n1, n2 = self.R.grid_shape
+        spec = np.fft.rfft2(x.reshape(n1, n2), out=self._spec)
+        spec *= self.R.fft_symbol
+        spec -= self._b_hat
+        flat = self._spec_parts.reshape(-1)
+        alone = (0,) if n2 % 2 else (0, n2 // 2)
+        total = 2.0 * float(flat @ flat) - sum(
+            float(np.vdot(spec[:, k], spec[:, k]).real) for k in alone
+        )
+        return 0.5 * total / (n1 * n2)
+
+    def _solver(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(solver, tau R*b) at step size tau, formed on first use.
+
+        On the FFT path the solver is 1/(1 + tau |s|^2) repeated for the
+        real and imaginary part of each spectrum entry: multiplying by
+        it rounds as numpy's complex-by-real division does, which
+        computes a * (1/c).
+        """
+        if self._fft:
+            recip = 1.0 / (1.0 + tau * np.abs(self.R.fft_symbol) ** 2)
+            solver = np.repeat(recip, 2, axis=1)
+        else:
+            m = self.R.as_matrix()
+            solver = np.linalg.inv(np.eye(self.R.dom_dim) + tau * (m.T @ m))
+        return solver, tau * self.R.adjoint(self._b)
+
     def resolvent(self, tau: float, x: np.ndarray) -> np.ndarray:
         if tau <= 0:
             raise ValueError("step size must be positive")
         cached = self._solver_cache.get(tau)
         if cached is None:
-            if self._fft:
-                solver = 1.0 + tau * self._sym_sq
-            else:
-                m = self.R.as_matrix()
-                solver = np.linalg.inv(np.eye(self.R.dom_dim)
-                                       + tau * (m.T @ m))
-            cached = self._solver_cache[tau] = (solver, tau * self.rtb)
+            cached = self._solver_cache[tau] = self._solver(tau)
         solver, tau_rtb = cached
         rhs = np.add(x, tau_rtb, out=self._rhs)
         if not self._fft:
             return solver @ rhs
         shape = self.R.grid_shape
-        spec = np.fft.rfft2(rhs.reshape(shape), out=self._spec)
-        spec /= solver
-        # the return value, not an out= buffer: numpy 2.4's irfft2
-        # returns a new array and leaves its out= argument unwritten
-        return np.fft.irfft2(spec, s=shape).ravel()
+        np.fft.rfft2(rhs.reshape(shape), out=self._spec)
+        np.multiply(self._spec_parts, solver, out=self._spec_parts)
+        # irfftn, not irfft2: numpy 2.4's irfft2 passes out=None on to
+        # irfftn, so it returns a new array and leaves out= unwritten
+        np.fft.irfftn(self._spec, s=shape, axes=(0, 1),
+                      out=rhs.reshape(shape))
+        return rhs
 
 
 def dual_resolvent(op: MonotoneOp, sigma: Precond, u: np.ndarray,

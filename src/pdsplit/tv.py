@@ -146,20 +146,25 @@ def build_gradient_ops(n1: int, n2: int) -> tuple[LinOp, LinOp]:
         d[-1, :] = y[-2, :]
         return d.ravel() if out is None else out
 
+    # along axis 1 the difference runs over the flat arrays, which is
+    # contiguous; the columns where it crosses a row end are then set
+
     def d2_fwd(v: np.ndarray, out=None) -> np.ndarray:
-        x, g = grid(v, out)
-        np.subtract(x[:, 1:], x[:, :-1], out=g[:, :-1])
+        _, g = grid(v, out)
+        flat = g.reshape(-1)
+        np.subtract(v[1:], v[:-1], out=flat[:-1])
         g[:, -1] = 0.0
-        return g.ravel() if out is None else out
+        return flat if out is None else out
 
     def d2_adj(v: np.ndarray, out=None) -> np.ndarray:
         y, d = grid(v, out)
+        flat = d.reshape(-1)
+        np.subtract(v[:-1], v[1:], out=flat[1:])
         # not np.negative(y[:, 0], out=d[:, 0]): numpy 2.4.6 writes that
         # strided column wrongly when rows are 64 bytes apart (n2 = 8)
         d[:, 0] = -y[:, 0]
-        np.subtract(y[:, :-2], y[:, 1:-1], out=d[:, 1:-1])
         d[:, -1] = y[:, -2]
-        return d.ravel() if out is None else out
+        return flat if out is None else out
 
     d1 = LinOp(d1_fwd, d1_adj, n, n, grid_shape=shape)
     d2 = LinOp(d2_fwd, d2_adj, n, n, grid_shape=shape)
@@ -233,26 +238,27 @@ def add_gaussian_noise(img: ImageGrid, std_rel: float, seed: int) -> ImageGrid:
 
 def tv_objective(
     x: ImageGrid | np.ndarray,
-    R: LinOp,
-    b: np.ndarray,
+    fit: QuadraticDataFit,
     alpha: float,
     grads: tuple[LinOp, LinOp] | None = None,
 ) -> float:
     """Data fit plus anisotropic total variation:
     0.5*||R x - b||^2 + alpha * (||D1 x||_1 + ||D2 x||_1).
 
-    ``x`` is an ImageGrid or its n1 x n2 pixel array, and ``b`` the
-    observation's pixel array (any shape with n1*n2 entries).
-    ``grads`` is the (D1, D2) pair of ``build_gradient_ops`` for that
-    grid; it is built here when omitted, so callers evaluating many
-    iterates pass it.
+    ``x`` is an ImageGrid or its n1 x n2 pixel array, and ``fit`` the
+    data-fit term of R and the observation b, whose ``value`` gives
+    the first term.  ``grads`` is the (D1, D2) pair of
+    ``build_gradient_ops`` for that grid; it is built here when
+    omitted, so callers evaluating many iterates pass it.
     """
     pixels = x.pixels if isinstance(x, ImageGrid) else x
     d1, d2 = grads if grads is not None else build_gradient_ops(*pixels.shape)
     xv = pixels.ravel()
-    resid = R.forward(xv) - b.ravel()
-    tv = np.abs(d1.forward(xv)).sum() + np.abs(d2.forward(xv)).sum()
-    return 0.5 * float(resid @ resid) + alpha * float(tv)
+    # one array holds each difference and its magnitude in turn
+    g = d1.forward(xv)
+    tv = float(np.abs(g, out=g).sum())
+    tv += float(np.abs(d2.forward(xv, out=g), out=g).sum())
+    return fit.value(xv) + alpha * tv
 
 
 def psnr(x: ImageGrid, ref: ImageGrid) -> float:
@@ -349,21 +355,29 @@ def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
         )
 
 
-def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
+def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp,
+                  fit: QuadraticDataFit | None = None) -> PDProblem:
     """Assemble the three-block primal-dual problem for one image.
 
-    Blocks: anisotropic differences along each axis with an l1 penalty,
-    and an identity-coupled box constraint on the dynamic range.
+    The primal operator is the gradient of ``fit``, the data-fit term
+    0.5*||R x - b||^2 of the observation b.  It is built here when
+    omitted; a caller that also evaluates ``tv_objective`` passes its
+    own, so that one fit serves both.  Blocks: anisotropic differences
+    along each axis with an l1 penalty, and an identity-coupled box
+    constraint on the dynamic range.
     """
     n1, n2 = observed.shape
     n = n1 * n2
     if R.dom_dim != n or R.cod_dim != n:
         raise ValueError("blur operator does not match the image grid")
     check_config(cfg, observed.shape)
+    if fit is None:
+        fit = QuadraticDataFit(R, observed.as_hvector())
+    elif fit.R is not R:
+        raise ValueError("data fit is not of the blur operator")
     d1, d2 = build_gradient_ops(n1, n2)
-    quad = QuadraticDataFit(R, observed.as_hvector())
     return PDProblem(
-        A=data_fit_operator(quad),
+        A=data_fit_operator(fit),
         blocks=(
             (l1_operator(cfg.alpha), d1),
             (l1_operator(cfg.alpha), d2),
@@ -380,11 +394,12 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
 
 @dataclass
 class TVRunResult(KMResult):
-    """A deblurring run: the KM result plus the restored image and the
-    problem that was solved."""
+    """A deblurring run: the KM result plus the restored image, the
+    problem that was solved and its data-fit term."""
 
     image: ImageGrid | None = None
     problem: PDProblem | None = None
+    fit: QuadraticDataFit | None = None
 
 
 def run_tv_solver(
@@ -401,21 +416,23 @@ def run_tv_solver(
     non-finite; ``stop_reason`` says which).  The returned
     image is the final (relaxed) primal iterate; it may leave the box
     by a relaxation-sized margin mid-run, while one extra resolvent
-    application lands inside it.
+    application lands inside it.  With ``record_objective`` each trace
+    row carries ``tv_objective`` of its primal iterate, evaluated with
+    the solve's own data-fit term (``fit`` of the result).
     """
-    problem = build_problem(cfg, observed, R)
+    fit = QuadraticDataFit(R, observed.as_hvector())
+    problem = build_problem(cfg, observed, R, fit)
     z0 = problem.initial_state(observed.pixels)
     sched = RelaxationSchedule.constant(cfg.relaxation)
     objective_fn = None
     if record_objective:
-        b = observed.pixels
         alpha = cfg.alpha
         shape = observed.shape
         n = problem.dim
         grads = build_gradient_ops(*shape)
 
         def objective_fn(z: np.ndarray) -> float:
-            return tv_objective(z[:n].reshape(shape), R, b, alpha, grads)
+            return tv_objective(z[:n].reshape(shape), fit, alpha, grads)
 
     result = pd_iterate(
         problem, z0, sched, cfg.eps, cfg.max_iter,
@@ -423,7 +440,8 @@ def run_tv_solver(
     )
     restored = ImageGrid(result.state[:problem.dim].reshape(observed.shape),
                          observed.peak)
-    return TVRunResult(**vars(result), image=restored, problem=problem)
+    return TVRunResult(**vars(result), image=restored, problem=problem,
+                       fit=fit)
 
 
 @dataclass(frozen=True)
@@ -558,7 +576,7 @@ def _run_cell(cfg, observed, R, clean):
             iterations=run.iterations,
             converged=run.converged,
             final_residual=run.final_residual,
-            objective=tv_objective(run.image, R, observed.pixels, cfg.alpha),
+            objective=tv_objective(run.image, run.fit, cfg.alpha),
             psnr=psnr(run.image, clean),
             error="",
         )

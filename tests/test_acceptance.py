@@ -48,6 +48,7 @@ from pdsplit import (
     scalar_precond,
     step_condition,
     sweep,
+    tv_objective,
     zero_inclusion_residual,
 )
 from pdsplit.cli import write_trace_csv
@@ -290,6 +291,24 @@ def test_criterion_07_relaxation_trend(relaxation_runs):
     report(7, f"relaxation 1.9 needed {run9.iterations} iterations vs "
               f"{run1.iterations} at 1.0 ({100 * reduction:.1f}% fewer; "
               f"{t1 + t9:.0f}s total)")
+
+
+def test_trace_objective_is_the_restored_objective(tv_instance,
+                                                   relaxation_runs):
+    # the last trace row's objective is that of the restored image, by
+    # the solve's own data fit and by the direct residual alike
+    _, blur, observed = tv_instance
+    for lam in (1.0, 1.9):
+        run, _ = relaxation_runs[lam]
+        last = run.trace[-1].objective
+        x = run.image.pixels
+        assert last == pytest.approx(tv_objective(run.image, run.fit, 0.01),
+                                     rel=1e-12)
+        r = blur.forward(x.ravel()) - observed.pixels.ravel()
+        tv = (np.abs(np.diff(x, axis=0)).sum()
+              + np.abs(np.diff(x, axis=1)).sum())
+        assert last == pytest.approx(0.5 * float(r @ r) + 0.01 * float(tv),
+                                     rel=1e-12)
 
 
 def test_criterion_08_distinct_sigma_trend(tv_instance):

@@ -163,6 +163,13 @@ class TestSolveTV:
         ("solve-tv", {"gamma2 = 0.01": "gamma2 = 0.01\nsigma3 = 0.1"}),
         ("diagnose", {"gamma1 = 0.6": "gamma1 = 0.6\nsigma1 = 0.1\n"
                                       "sigma2 = 0.1\nsigma3 = 0.1"}),
+        # every command that takes a config checks the image format
+        ("sweep", {"out_dir = {out}": "out_dir = {out}\nformat = P7"}),
+        ("diagnose", {"out_dir = {out}": "out_dir = {out}\nformat = P7"}),
+        # the identity problem reads no gammas
+        ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n"}),
+        ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n",
+                      "gamma1 = 0.6\n": ""}),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):
@@ -402,6 +409,21 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert all(r["lambda"] == "0.5" and r["seed"] == "7" for r in rows)
         assert all(r["iterations"] == "3" for r in rows)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_solver_tau_and_lambda_are_accepted(self, tmp_path):
+        # solve-tv configs reused for a sweep carry [solver] tau and
+        # lambda; the grid comes from [sweep], so the rows do not use them
+        out = tmp_path / "out"
+        text = SWEEP_CONFIG.replace(
+            "alpha = 0.01", "tau = 5.0\nlambda = 0.3\nalpha = 0.01"
+        ).replace("out_dir = {out}", "out_dir = {out}\nformat = p2")
+        cfg = write_config(tmp_path, text, out=str(out))
+        assert main(["sweep", "--config", cfg, "--max-iter", "3"]) == 2
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(r["tau"] == "0.4" and r["lambda"] == "1.9" for r in rows)
 
 
 class TestReadersAgree:

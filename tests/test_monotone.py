@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
@@ -145,6 +145,61 @@ class TestResolventQuadratic:
             np.eye(n1 * n2) + 0.4 * mat.T @ mat, x + 0.4 * mat.T @ b
         )
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @staticmethod
+    def random_fit(n1, n2, seed):
+        """A blur of random odd size and width on an n1 x n2 grid, its
+        fit to a random observation, and the rng."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.choice(np.arange(1, min(n1, n2) + 1, 2)))
+        blur = build_gaussian_blur(n1, n2, size, float(rng.uniform(0.3, 3.0)))
+        b = rng.standard_normal(n1 * n2)
+        return blur, b, QuadraticDataFit(blur, hvector(b)), rng
+
+    # n2 = 2 has no column with a mirror image, odd n2 no n2/2 column
+    grids = given(n1=st.integers(2, 9), n2=st.integers(2, 9),
+                  seed=st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @grids
+    @example(n1=5, n2=2, seed=0)
+    @example(n1=2, n2=7, seed=1)
+    def test_value_is_half_squared_residual(self, n1, n2, seed):
+        blur, b, q, rng = self.random_fit(n1, n2, seed)
+        for _ in range(3):
+            x = rng.standard_normal(n1 * n2) * 10.0 ** rng.uniform(-2, 2)
+            r = blur.forward(x) - b
+            assert q.value(x) == pytest.approx(0.5 * float(r @ r), rel=1e-12)
+            # the resolvent shares the spectrum buffer; value keeps no state
+            q.resolvent(0.5, x)
+
+    def test_dense_value_is_half_squared_residual(self, rng):
+        mat = rng.standard_normal((5, 3))
+        b = rng.standard_normal(5)
+        x = rng.standard_normal(3)
+        q = QuadraticDataFit(matrix_op(mat), hvector(b))
+        r = mat @ x - b
+        assert q.value(x) == pytest.approx(0.5 * float(r @ r), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @grids
+    @example(n1=5, n2=2, seed=0)
+    @example(n1=2, n2=7, seed=1)
+    def test_fft_solve_is_the_spectral_division(self, n1, n2, seed):
+        # the same bits as dividing the spectrum of x + tau R*b by
+        # 1 + tau |s|^2 and inverting with irfft2
+        blur, b, q, rng = self.random_fit(n1, n2, seed)
+        taus = 10.0 ** rng.uniform(-2, 1, size=2)
+        for tau in (*taus, taus[0]):
+            x = rng.standard_normal(n1 * n2)
+            spec = np.fft.rfft2((x + tau * blur.adjoint(b)).reshape(n1, n2))
+            want = np.fft.irfft2(
+                spec / (1.0 + tau * np.abs(blur.fft_symbol) ** 2),
+                s=(n1, n2),
+            ).ravel()
+            assert np.array_equal(q.resolvent(tau, x), want)
 
     def test_rejects_nonpositive_tau(self):
         q = QuadraticDataFit(identity_op(2), hvector([0.0, 0.0]))

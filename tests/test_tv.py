@@ -5,6 +5,7 @@ import pytest
 
 from pdsplit import (
     ImageGrid,
+    QuadraticDataFit,
     SweepGrid,
     TVConfig,
     TVInstance,
@@ -15,6 +16,7 @@ from pdsplit import (
     build_problem,
     equal_critical_sigma,
     gradient_norm_sq,
+    hvector,
     pd_resolvent,
     psnr,
     run_tv_solver,
@@ -139,7 +141,8 @@ class TestObjectiveAndPSNR:
         img = ImageGrid(np.full((n, n), 5.0), peak=255.0)
         R = build_gaussian_blur(n, n, 5, 2.0)
         b = R.forward(img.pixels.ravel())
-        assert tv_objective(img, R, b, 0.3) == pytest.approx(0.0, abs=1e-18)
+        fit = QuadraticDataFit(R, hvector(b))
+        assert tv_objective(img, fit, 0.3) == pytest.approx(0.0, abs=1e-18)
 
     def test_alpha_zero_is_pure_data_fit(self, rng):
         n = 8
@@ -147,7 +150,8 @@ class TestObjectiveAndPSNR:
         R = build_gaussian_blur(n, n, 5, 2.0)
         b = rng.standard_normal(n * n)
         resid = R.forward(img.pixels.ravel()) - b
-        assert tv_objective(img, R, b, 0.0) == pytest.approx(
+        fit = QuadraticDataFit(R, hvector(b))
+        assert tv_objective(img, fit, 0.0) == pytest.approx(
             0.5 * float(resid @ resid), rel=1e-12
         )
 
@@ -161,8 +165,9 @@ class TestObjectiveAndPSNR:
         resid = R.forward(x.ravel()).reshape(n, n) - b
         tv = np.abs(np.diff(x, axis=0)).sum() + np.abs(np.diff(x, axis=1)).sum()
         want = 0.5 * float((resid ** 2).sum()) + alpha * float(tv)
-        assert tv_objective(img, R, b, alpha) == pytest.approx(want,
-                                                               rel=1e-12)
+        fit = QuadraticDataFit(R, hvector(b))
+        assert tv_objective(img, fit, alpha) == pytest.approx(want,
+                                                              rel=1e-12)
 
     def test_psnr_single_pixel_error(self):
         n = 100
@@ -365,8 +370,8 @@ class TestSweep:
         run = run_tv_solver(cfg, observed, R)
         assert row["iterations"] == run.iterations
         assert row["final_residual"] == run.final_residual
-        assert row["objective"] == tv_objective(run.image, R,
-                                                observed.pixels, 0.01)
+        assert row["objective"] == tv_objective(
+            run.image, QuadraticDataFit(R, observed.as_hvector()), 0.01)
         assert row["psnr"] == psnr(run.image, clean)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
