@@ -11,8 +11,9 @@ whose field defaults and checks are the only ones.
 
 Exit codes: 0 success, 1 configuration error, 2 non-convergence
 (including a run stopped by a non-finite iterate).
-Configs are flat INI key/value files with sections; unknown keys are
-rejected so sweeps stay diffable and reproducible.
+Configs are flat INI key/value files with sections.  ``[solver]
+problem`` picks one key format of ``_FORMATS``, and any other section
+or key is rejected, so sweeps stay diffable and reproducible.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .km import RelaxationSchedule
 from .linalg import (
     DENSE_DIM_LIMIT,
     dense_range_diagnostics,
-    hvector,
     identity_op,
     scalar_precond,
 )
@@ -44,12 +44,9 @@ from .tv import (
     SweepGrid,
     SWEEP_COLUMNS,
     TVInstance,
-    boundary_sigmas,
     build_gaussian_blur,
     build_problem,
     check_config,
-    equal_critical_sigma,
-    gradient_norm_sq,
     psnr,
     run_tv_solver,
     sweep,
@@ -62,20 +59,25 @@ EXIT_NOCONV = 2
 
 TRACE_COLUMNS = ("n", "residual", "objective")
 
-_KNOWN_KEYS = {
-    "image": {"n1", "n2", "peak", "source"},
-    "blur": {"size", "std"},
-    "noise": {"std_rel"},
-    "solver": {
-        "problem", "tau", "sigma", "sigma1", "sigma2", "sigma3",
-        "gamma1", "gamma2", "alpha", "lambda", "eps",
-        "max_iter", "seed",
+# the sections and keys a config may hold, by its [solver] problem; the
+# three TV commands share one format, so one file can drive them all
+_FORMATS = {
+    "tv": {
+        "image": {"n1", "n2", "peak", "source"},
+        "blur": {"size", "std"},
+        "noise": {"std_rel"},
+        "solver": {
+            "problem", "tau", "sigma1", "sigma2", "sigma3", "gamma1",
+            "gamma2", "alpha", "lambda", "eps", "max_iter", "seed",
+        },
+        "sweep": {
+            "tau_values", "gamma1_values", "gamma2_values", "lambda_values",
+            "seeds", "include_equal_sigma",
+        },
+        "output": {"out_dir", "format"},
     },
-    "sweep": {
-        "tau_values", "gamma1_values", "gamma2_values", "lambda_values",
-        "seeds", "include_equal_sigma",
-    },
-    "output": {"out_dir", "format"},
+    # a toy saddle problem for diagnose; n1 is its dimension
+    "identity": {"image": {"n1"}, "solver": {"problem", "tau", "sigma"}},
 }
 
 
@@ -83,7 +85,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
+def _load_config(path: str,
+                 problems: tuple[str, ...] = ("tv",)
+                 ) -> configparser.ConfigParser:
+    """The parsed file, once its ``[solver] problem`` (default ``tv``)
+    is one of ``problems`` and every section, key and ``[output]
+    format`` fits that problem's format."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                    interpolation=None)
     try:
@@ -94,15 +101,24 @@ def _load_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    problem = cp.get("solver", "problem", fallback="tv")
+    if problem not in problems:
+        raise ConfigError(f"this command does not solve problem = "
+                          f"{problem!r}; it solves {' or '.join(problems)}")
+    known = _FORMATS[problem]
     for section in cp.sections():
-        allowed = _KNOWN_KEYS.get(section)
-        if allowed is None:
-            raise ConfigError(f"unknown config section [{section}]")
+        if section not in known:
+            raise ConfigError(f"section [{section}] does not apply to "
+                              f"problem = {problem}")
         for key in cp[section]:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]"
-                )
+            if key not in known[section]:
+                raise ConfigError(f"key {key!r} in section [{section}] "
+                                  f"does not apply to problem = {problem}")
+    fmt = cp.get("output", "format", fallback="P5")
+    if fmt.upper() not in ("P2", "P5"):
+        raise ConfigError(
+            f"unknown [output] format {fmt!r}; expected P2 or P5"
+        )
     return cp
 
 
@@ -136,17 +152,18 @@ def write_trace_csv(path, trace) -> None:
 
 
 def write_sweep_csv(path, rows) -> None:
+    """One line per row, in ``SWEEP_COLUMNS`` order: floats by
+    ``repr``, so they read back exactly, and booleans as true/false."""
+
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        return repr(value) if isinstance(value, float) else value
+
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            w.writerow([
-                repr(row["tau"]), repr(row["sigma1"]), repr(row["sigma2"]),
-                repr(row["sigma3"]), repr(row["lambda"]), row["seed"],
-                row["iterations"], str(bool(row["converged"])).lower(),
-                repr(row["final_residual"]), repr(row["objective"]),
-                repr(row["psnr"]), repr(row["wall_ms"]), row["error"],
-            ])
+        w.writerows([text(row[c]) for c in SWEEP_COLUMNS] for row in rows)
 
 
 # the config keys of the TV experiment, by the TVInstance field each
@@ -218,50 +235,23 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
         observed = ImageGrid(pixels, instance.peak)
         clean = None
 
-    # the step sizes are explicit sigmas, boundary gammas or, when
-    # neither is given, the shared equal sigma
-    explicit = [k for k in ("sigma1", "sigma2", "sigma3") if k in sol]
-    boundary = [k for k in ("gamma1", "gamma2") if k in sol]
-    if explicit and boundary:
-        raise ConfigError(
-            f"step sizes given both ways ({', '.join(explicit + boundary)});"
-            " give sigma1..sigma3 or gamma1 and gamma2"
-        )
-    d1_sq = gradient_norm_sq(instance.n1)
-    d2_sq = gradient_norm_sq(instance.n2)
-    if explicit:
-        sigmas = tuple(float(_option(cp, "solver", key))
-                       for key in ("sigma1", "sigma2", "sigma3"))
-    elif boundary:
-        sigmas = boundary_sigmas(
-            tau, float(_option(cp, "solver", "gamma1")),
-            float(_option(cp, "solver", "gamma2")), d1_sq, d2_sq
-        )
-    else:
-        s = equal_critical_sigma(tau, d1_sq, d2_sq)
-        sigmas = (s, s, s)
-
-    cfg = instance.config(tau, sigmas, lam, seed)
+    # explicit sigmas, boundary gammas or, when neither is given, the
+    # shared equal sigma; a partial set names its first missing key
+    steps = {
+        name: tuple(float(_option(cp, "solver", key)) for key in keys)
+        for name, keys in (("sigmas", ("sigma1", "sigma2", "sigma3")),
+                           ("gammas", ("gamma1", "gamma2")))
+        if any(key in sol for key in keys)
+    }
+    cfg = instance.config(tau, lam, seed, **steps)
     check_config(cfg, observed.shape)
     return cfg, observed, R, clean
-
-
-def _output_format(cp: configparser.ConfigParser) -> str:
-    """The PGM flavour of ``[output] format``, P2 or P5; every command
-    that takes a config checks it, though only solve-tv writes images."""
-    fmt = cp.get("output", "format", fallback="P5")
-    if fmt.upper() not in ("P2", "P5"):
-        raise ConfigError(
-            f"unknown [output] format {fmt!r}; expected P2 or P5"
-        )
-    return fmt.upper()
 
 
 def cmd_solve_tv(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
         cfg, observed, R, clean = _tv_setup(cp, args)
-        fmt = _output_format(cp)
         out_dir = _out_dir(cp, args)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
@@ -274,7 +264,7 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         out_dir / "restored.pgm",
         run.image.pixels * (255.0 / observed.peak),
         maxval=255,
-        ascii_format=fmt == "P2",
+        ascii_format=cp.get("output", "format", fallback="").upper() == "P2",
     )
     write_trace_csv(out_dir / "trace.csv", run.trace)
     obj = tv_objective(run.image, run.fit, cfg.alpha)
@@ -291,7 +281,6 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
-        _output_format(cp)
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got "
                               f"{args.workers}")
@@ -356,8 +345,8 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
     worst = 0.0
     for _ in range(args.instances):
         p = _random_drs_instance(args.dims, rng)
-        x0 = hvector(rng.standard_normal(args.dims))
-        u0 = hvector(rng.standard_normal(args.dims))
+        x0 = rng.standard_normal(args.dims)
+        u0 = rng.standard_normal(args.dims)
         lams = rng.uniform(0.0, 2.0, size=args.iters)
         sched = RelaxationSchedule.from_sequence(lams)
         dev = equivalence_deviation(p, x0, u0, sched, args.iters)
@@ -365,8 +354,8 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
     # zero-operator edge case: both sequences must coincide exactly
     zero = monotone_linear(0.0, 0.0)
     p0 = DRSProblem(A=zero, B=zero, upsilon=scalar_precond(1.0, args.dims))
-    x0 = hvector(rng.standard_normal(args.dims))
-    u0 = hvector(np.zeros(args.dims))
+    x0 = rng.standard_normal(args.dims)
+    u0 = np.zeros(args.dims)
     dev0 = equivalence_deviation(
         p0, x0, u0, RelaxationSchedule.constant(1.3), args.iters
     )
@@ -378,34 +367,22 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     try:
-        cp = _load_config(args.config)
-        _output_format(cp)
-        sol = cp["solver"] if cp.has_section("solver") else {}
-        kind = sol.get("problem", "tv")
-        if kind == "tv":
+        cp = _load_config(args.config, ("tv", "identity"))
+        if cp.get("solver", "problem", fallback="tv") == "tv":
             cfg, observed, R, _ = _tv_setup(cp, args)
             problem = build_problem(cfg, observed, R)
-        elif kind == "identity":
-            # n1 is the toy problem's dimension here, not an image side
+        else:
             dim = cp.getint("image", "n1", fallback=4)
             if dim < 1:
                 raise ConfigError(f"n1 must be at least 1, got {dim}")
-            tau = float(sol.get("tau", 1.0))
-            sig = float(sol.get("sigma", sol.get("sigma1", 1.0)))
+            tau = cp.getfloat("solver", "tau", fallback=1.0)
+            sig = cp.getfloat("solver", "sigma", fallback=1.0)
             problem = PDProblem(
                 A=zero_operator(),
                 blocks=((zero_operator(), identity_op(dim)),),
                 upsilon=scalar_precond(tau, dim),
                 sigmas=(scalar_precond(sig, dim),),
             )
-            unread = [k for k in ("gamma1", "gamma2") if k in sol]
-            if unread:
-                raise ConfigError(
-                    f"key {unread[0]!r} in section [solver] does not apply "
-                    "to problem = identity"
-                )
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -157,8 +157,9 @@ def km_iterate(
     the run at the last finite iterate.  Bit-deterministic for
     identical inputs and schedule.
     """
-    if eps is not None and eps <= 0:
-        raise ValueError("eps must be positive (or None for fixed-count runs)")
+    if eps is not None and not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite (or None for "
+                         "fixed-count runs)")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if sched.divergence_surrogate(max_iter,

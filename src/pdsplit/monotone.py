@@ -267,7 +267,8 @@ def l1_operator(alpha: float) -> MonotoneOp:
 def box_operator(lo: float, hi: float) -> MonotoneOp:
     """Normal cone of the box [lo, hi]^n; resolvent is the projection,
     and the resolvent of Sigma times its inverse is
-    u - Sigma clip(Sigma^{-1} u, lo, hi) for a diagonal Sigma."""
+    u - Sigma clip(Sigma^{-1} u, lo, hi) = u - clip(u, Sigma lo, Sigma hi)
+    for a diagonal Sigma."""
     if lo > hi:
         raise ValueError("empty box")
 
@@ -277,10 +278,7 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
 
     def conj(sigma: Precond, u: np.ndarray, out=None) -> np.ndarray:
         s = _diagonal(sigma, "box")
-        w = np.divide(u, s)
-        np.clip(w, lo, hi, out=w)
-        w *= s
-        return np.subtract(u, w, out=out)
+        return np.subtract(u, np.clip(u, s * lo, s * hi), out=out)
 
     return MonotoneOp(res, conj)
 

@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -326,20 +327,21 @@ def equal_critical_sigma(tau: float, d1_sq: float, d2_sq: float) -> float:
 
 
 def _check_run_controls(eps: float, max_iter: int) -> None:
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
     """Raise ValueError unless ``cfg`` can run on an n1 x n2 grid: eps
-    positive, max_iter at least 1, relaxation in [0, 2], alpha
-    nonnegative and positive step sizes within the boundary condition.
-    Every comparison fails on NaN."""
+    positive and finite, max_iter at least 1, relaxation in [0, 2],
+    alpha nonnegative and finite, and positive step sizes within the
+    boundary condition.  Every comparison fails on NaN."""
     _check_run_controls(cfg.eps, cfg.max_iter)
-    if not cfg.alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
+    if not 0 <= cfg.alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, "
+                         f"got {cfg.alpha}")
     if not 0.0 <= cfg.relaxation <= 2.0:
         raise ValueError(f"relaxation {cfg.relaxation} outside [0, 2]")
     steps = (cfg.tau, cfg.sigma1, cfg.sigma2, cfg.sigma3)
@@ -477,9 +479,10 @@ class TVInstance:
         if not (self.blur_std > 0 and self.peak > 0):
             raise ValueError(f"blur std {self.blur_std} and peak "
                              f"{self.peak} must be positive")
-        if not (self.noise_std_rel >= 0 and self.alpha >= 0):
+        if not (self.noise_std_rel >= 0 and 0 <= self.alpha < math.inf):
             raise ValueError(f"noise level {self.noise_std_rel} and alpha "
-                             f"{self.alpha} must be nonnegative")
+                             f"{self.alpha} must be nonnegative, alpha "
+                             "finite")
 
     def observe(self, seed: int) -> tuple[ImageGrid, LinOp, ImageGrid]:
         """(clean, R, observed): the synthetic image, its blur operator
@@ -495,11 +498,24 @@ class TVInstance:
     def config(
         self,
         tau: float,
-        sigmas: tuple[float, float, float],
         relaxation: float,
         seed: int,
+        gammas: tuple[float, float] | None = None,
+        sigmas: tuple[float, float, float] | None = None,
     ) -> TVConfig:
-        """One solve of this experiment with the given step sizes."""
+        """One solve of this experiment.  Its dual step sizes are
+        ``sigmas`` when given, else the ``boundary_sigmas`` of
+        ``gammas``, else the equal critical sigma, on this grid."""
+        if sigmas is None:
+            d1_sq = gradient_norm_sq(self.n1)
+            d2_sq = gradient_norm_sq(self.n2)
+            if gammas is None:
+                sigmas = (equal_critical_sigma(tau, d1_sq, d2_sq),) * 3
+            else:
+                sigmas = boundary_sigmas(tau, *gammas, d1_sq, d2_sq)
+        elif gammas is not None:
+            raise ValueError("step sizes given both as sigmas and as gammas;"
+                             " give sigma1..sigma3 or gamma1 and gamma2")
         s1, s2, s3 = sigmas
         return TVConfig(
             tau=tau, sigma1=s1, sigma2=s2, sigma3=s3, alpha=self.alpha,
@@ -543,18 +559,6 @@ SWEEP_COLUMNS = (
     "iterations", "converged", "final_residual", "objective",
     "psnr", "wall_ms", "error",
 )
-
-
-def _sweep_cells(grid: SweepGrid, d1_sq: float, d2_sq: float):
-    cells = []
-    for tau in grid.tau_values:
-        for g1 in grid.gamma1_values:
-            for g2 in grid.gamma2_values:
-                cells.append((tau,) + boundary_sigmas(tau, g1, g2, d1_sq, d2_sq))
-        if grid.include_equal_sigma:
-            s = equal_critical_sigma(tau, d1_sq, d2_sq)
-            cells.append((tau, s, s, s))
-    return cells
 
 
 def _run_cell(cfg, observed, R, clean):
@@ -605,12 +609,15 @@ def sweep(
     ``instance.observe(seed)`` for its row's seed, and rows come back
     in deterministic cell-major order regardless of scheduling.
     """
-    d1_sq = gradient_norm_sq(instance.n1)
-    d2_sq = gradient_norm_sq(instance.n2)
     observations = {seed: instance.observe(seed) for seed in seeds}
+    # per tau: every gamma pair, then the equal-sigma cell (gammas None)
+    steps = list(product(grid.gamma1_values, grid.gamma2_values))
+    if grid.include_equal_sigma:
+        steps.append(None)
     jobs = [
-        instance.config(tau, sigmas, lam, seed)
-        for tau, *sigmas in _sweep_cells(grid, d1_sq, d2_sq)
+        instance.config(tau, lam, seed, gammas=gammas)
+        for tau in grid.tau_values
+        for gammas in steps
         for lam in grid.lambda_values
         for seed in seeds
     ]

@@ -49,6 +49,16 @@ max_iter = 20000
 out_dir = {out}
 """
 
+IDENTITY_CONFIG = """
+[image]
+n1 = 4
+
+[solver]
+problem = identity
+tau = 0.5
+sigma = 1.0
+"""
+
 
 def write_config(tmp_path, text, name="run.ini", **fmt):
     path = tmp_path / name
@@ -110,8 +120,8 @@ class TestSolveTV:
         assert "iterations=1 converged=False" in captured.out
         assert captured.out.rstrip().endswith("stop=nonfinite")
 
-    # ``extra`` is command-line arguments, or edits {old: new} of the
-    # command's config text
+    # ``extra`` is command-line arguments, edits {old: new} of the
+    # command's config text, or a whole config text
     @pytest.mark.parametrize("command,extra", [
         ("solve-tv", ["--eps", "-1"]),
         ("solve-tv", ["--eps", "0"]),
@@ -170,13 +180,48 @@ class TestSolveTV:
         ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n"}),
         ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n",
                       "gamma1 = 0.6\n": ""}),
+        # eps = inf would pass the first step; alpha = inf has no solution
+        ("solve-tv", ["--eps", "inf"]),
+        ("sweep", ["--eps", "inf"]),
+        ("solve-tv", {"alpha = 0.01": "alpha = inf"}),
+        ("sweep", {"alpha = 0.01": "alpha = inf"}),
+        # a key outside the identity problem's format (IDENTITY_CONFIG
+        # itself passes diagnose), or one outside the TV format
+        pytest.param("diagnose", IDENTITY_CONFIG + "alpha = -7\n",
+                     id="diagnose-identity-alpha"),
+        pytest.param("diagnose", IDENTITY_CONFIG + "lambda = 9\n",
+                     id="diagnose-identity-lambda"),
+        pytest.param("diagnose", IDENTITY_CONFIG + "eps = -1\n",
+                     id="diagnose-identity-eps"),
+        pytest.param("diagnose", IDENTITY_CONFIG + "max_iter = 0\n",
+                     id="diagnose-identity-max-iter"),
+        pytest.param("diagnose", IDENTITY_CONFIG + "\n[blur]\nsize = 3\n",
+                     id="diagnose-identity-blur"),
+        pytest.param("diagnose",
+                     IDENTITY_CONFIG + "\n[output]\nout_dir = nowhere\n",
+                     id="diagnose-identity-out-dir"),
+        pytest.param("diagnose", IDENTITY_CONFIG + "sigma1 = 0.5\n",
+                     id="diagnose-identity-sigma1"),
+        ("solve-tv", {"alpha = 0.01": "alpha = 0.01\nsigma = 123"}),
+        # the identity problem's own checks, on a file of its format
+        pytest.param("diagnose", IDENTITY_CONFIG.replace("n1 = 4", "n1 = 0"),
+                     id="diagnose-identity-n1"),
+        pytest.param("diagnose",
+                     IDENTITY_CONFIG.replace("tau = 0.5", "tau = nan"),
+                     id="diagnose-identity-tau-nan"),
+        # a problem the command does not solve
+        pytest.param("solve-tv", IDENTITY_CONFIG, id="solve-tv-identity"),
+        ("sweep", {"[solver]\n": "[solver]\nproblem = identity\n"}),
+        ("diagnose", {"[solver]\n": "[solver]\nproblem = bogus\n"}),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):
         argv = [command]
         if command != "drs-check":
             text = SWEEP_CONFIG if command == "sweep" else SOLVE_CONFIG
-            if isinstance(extra, dict):
+            if isinstance(extra, str):
+                text, extra = extra, []
+            elif isinstance(extra, dict):
                 for old, new in extra.items():
                     assert old in text
                     text = text.replace(old, new)
@@ -473,16 +518,7 @@ class TestDRSCheckCommand:
 
 class TestDiagnoseCommand:
     def test_identity_instance_not_critical(self, tmp_path, capsys):
-        text = """
-[image]
-n1 = 4
-
-[solver]
-problem = identity
-tau = 0.5
-sigma = 1.0
-"""
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, IDENTITY_CONFIG)
         rc = main(["diagnose", "--config", cfg])
         out = capsys.readouterr().out
         assert rc == 0

@@ -145,9 +145,12 @@ class TestKMIterate:
 
     def test_rejects_bad_eps(self):
         s = lambda z: z
-        with pytest.raises(ValueError):
-            km_iterate(s, hvector([1.0]),
-                       RelaxationSchedule.constant(1.0), -1.0, 5)
+        # every finite step is below an infinite eps, so the first
+        # iteration would report a convergence it did not reach
+        for eps in (-1.0, math.inf):
+            with pytest.raises(ValueError):
+                km_iterate(s, hvector([1.0]),
+                           RelaxationSchedule.constant(1.0), eps, 5)
 
     def test_objective_recorded(self):
         s = lambda z: 0.5 * z

@@ -336,17 +336,11 @@ class TestSweep:
     def test_published_cell_in_grid_enumeration(self):
         # on a 256-point axis, the cell (tau=0.2, g1=0.6, g2=0.01) carries
         # the published step sizes 0.7425 / 0.4950
-        from pdsplit.tv import _sweep_cells
-
-        d = gradient_norm_sq(256)
-        grid = SweepGrid(tau_values=(0.2,), gamma1_values=(0.6,),
-                         gamma2_values=(0.01,), lambda_values=(1.0,),
-                         include_equal_sigma=False)
-        ((tau, s1, s2, s3),) = _sweep_cells(grid, d, d)
-        assert tau == 0.2
-        assert s1 == pytest.approx(0.7425, abs=5e-4)
-        assert s2 == pytest.approx(0.4950, abs=5e-4)
-        assert s3 == pytest.approx(0.05, abs=1e-12)
+        cfg = TVInstance(n1=256, n2=256).config(0.2, 1.0, 0,
+                                                gammas=(0.6, 0.01))
+        assert cfg.sigma1 == pytest.approx(0.7425, abs=5e-4)
+        assert cfg.sigma2 == pytest.approx(0.4950, abs=5e-4)
+        assert cfg.sigma3 == pytest.approx(0.05, abs=1e-12)
 
     def test_single_cell_matches_direct_run(self):
         grid, inst = self._tiny()
