@@ -45,7 +45,6 @@ __all__ = [
     "synthetic_image",
     "boundary_sigmas",
     "equal_critical_sigma",
-    "check_config",
     "build_problem",
     "run_tv_solver",
     "sweep",
@@ -78,30 +77,6 @@ class ImageGrid:
 
     def as_hvector(self) -> HVector:
         return HVector(self.pixels.ravel(), self.pixels.shape)
-
-
-@dataclass(frozen=True)
-class TVConfig:
-    """Step sizes, regularization and run controls for one solve.
-
-    The step sizes must satisfy
-    tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3)
-    <= 1 + primal_dual.COND_TOL on the target grid; ``build_problem``
-    enforces this.
-    """
-
-    tau: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    alpha: float = 0.01
-    relaxation: float = 1.0
-    eps: float = 1e-8
-    max_iter: int = 100000
-    seed: int = 0
-    blur_size: int = 9
-    blur_std: float = 4.0
-    noise_std_rel: float = 1e-3
 
 
 def gradient_norm_sq(n: int) -> float:
@@ -326,27 +301,10 @@ def equal_critical_sigma(tau: float, d1_sq: float, d2_sq: float) -> float:
     return 1.0 / (tau * (1.0 + d1_sq + d2_sq))
 
 
-def _check_run_controls(eps: float, max_iter: int) -> None:
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-
-
-def check_config(cfg: TVConfig, shape: tuple[int, int]) -> None:
-    """Raise ValueError unless ``cfg`` can run on an n1 x n2 grid: eps
-    positive and finite, max_iter at least 1, relaxation in [0, 2],
-    alpha nonnegative and finite, and positive step sizes within the
-    boundary condition.  Every comparison fails on NaN."""
-    _check_run_controls(cfg.eps, cfg.max_iter)
-    if not 0 <= cfg.alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, "
-                         f"got {cfg.alpha}")
-    if not 0.0 <= cfg.relaxation <= 2.0:
-        raise ValueError(f"relaxation {cfg.relaxation} outside [0, 2]")
-    steps = (cfg.tau, cfg.sigma1, cfg.sigma2, cfg.sigma3)
-    if not all(s > 0 for s in steps):
-        raise ValueError(f"step sizes must be positive, got {steps}")
+def _check_boundary(cfg: TVConfig, shape: tuple[int, int]) -> None:
+    """Raise ValueError unless the step sizes of ``cfg`` satisfy
+    tau (sigma1 ||D1||^2 + sigma2 ||D2||^2 + sigma3) <= 1 + COND_TOL on
+    an n1 x n2 grid, with the exact norms of ``gradient_norm_sq``."""
     bound = cfg.tau * (
         cfg.sigma1 * gradient_norm_sq(shape[0])
         + cfg.sigma2 * gradient_norm_sq(shape[1]) + cfg.sigma3
@@ -372,7 +330,7 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp,
     n = n1 * n2
     if R.dom_dim != n or R.cod_dim != n:
         raise ValueError("blur operator does not match the image grid")
-    check_config(cfg, observed.shape)
+    _check_boundary(cfg, observed.shape)
     if fit is None:
         fit = QuadraticDataFit(R, observed.as_hvector())
     elif fit.R is not R:
@@ -451,7 +409,8 @@ class TVInstance:
     """The deblurring experiment: image, blur and noise model, TV
     weight and run controls.  Its field defaults are the experiment's
     defaults; ``observe`` builds the observation and ``config`` one
-    solve of it."""
+    solve of it, whose ``TVConfig`` checks the TV weight and run
+    controls."""
 
     n1: int = 64
     n2: int = 64
@@ -465,7 +424,6 @@ class TVInstance:
 
     def __post_init__(self):
         # comparisons written so that NaN fails them
-        _check_run_controls(self.eps, self.max_iter)
         if min(self.n1, self.n2) < 2:
             raise ValueError(
                 f"grid must be at least 2 x 2, got {self.n1} x {self.n2}"
@@ -476,13 +434,13 @@ class TVInstance:
                 f"blur size {self.blur_size} must be odd and at most "
                 "the grid side"
             )
-        if not (self.blur_std > 0 and self.peak > 0):
-            raise ValueError(f"blur std {self.blur_std} and peak "
-                             f"{self.peak} must be positive")
-        if not (self.noise_std_rel >= 0 and 0 <= self.alpha < math.inf):
-            raise ValueError(f"noise level {self.noise_std_rel} and alpha "
-                             f"{self.alpha} must be nonnegative, alpha "
-                             "finite")
+        if not self.blur_std > 0:
+            raise ValueError(f"blur std {self.blur_std} must be positive")
+        if not 0 < self.peak < math.inf:
+            raise ValueError(f"peak {self.peak} must be positive and finite")
+        if not 0 <= self.noise_std_rel < math.inf:
+            raise ValueError(f"noise level {self.noise_std_rel} must be "
+                             "nonnegative and finite")
 
     def observe(self, seed: int) -> tuple[ImageGrid, LinOp, ImageGrid]:
         """(clean, R, observed): the synthetic image, its blur operator
@@ -517,19 +475,66 @@ class TVInstance:
             raise ValueError("step sizes given both as sigmas and as gammas;"
                              " give sigma1..sigma3 or gamma1 and gamma2")
         s1, s2, s3 = sigmas
-        return TVConfig(
+        cfg = TVConfig(
             tau=tau, sigma1=s1, sigma2=s2, sigma3=s3, alpha=self.alpha,
             relaxation=relaxation, eps=self.eps, max_iter=self.max_iter,
             seed=seed, blur_size=self.blur_size, blur_std=self.blur_std,
             noise_std_rel=self.noise_std_rel,
         )
+        _check_boundary(cfg, (self.n1, self.n2))
+        return cfg
+
+
+@dataclass(frozen=True)
+class TVConfig:
+    """Step sizes, regularization and run controls for one solve, with
+    the defaults of ``TVInstance``.
+
+    It checks its own values: eps positive and finite, max_iter at
+    least 1, alpha nonnegative and finite, relaxation in [0, 2] and
+    positive step sizes.  The boundary condition
+    tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3)
+    <= 1 + primal_dual.COND_TOL depends on the grid, so
+    ``build_problem`` and ``TVInstance.config`` enforce it.
+    """
+
+    tau: float
+    sigma1: float
+    sigma2: float
+    sigma3: float
+    alpha: float = TVInstance.alpha
+    relaxation: float = 1.0
+    eps: float = TVInstance.eps
+    max_iter: int = TVInstance.max_iter
+    seed: int = 0
+    blur_size: int = TVInstance.blur_size
+    blur_std: float = TVInstance.blur_std
+    noise_std_rel: float = TVInstance.noise_std_rel
+
+    def __post_init__(self):
+        # comparisons written so that NaN fails them
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, "
+                             f"got {self.eps}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, "
+                             f"got {self.max_iter}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, "
+                             f"got {self.alpha}")
+        if not 0.0 <= self.relaxation <= 2.0:
+            raise ValueError(f"relaxation {self.relaxation} outside [0, 2]")
+        steps = (self.tau, self.sigma1, self.sigma2, self.sigma3)
+        if not all(s > 0 for s in steps):
+            raise ValueError(f"step sizes must be positive, got {steps}")
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Cells of the step-size study: every (tau, gamma1, gamma2)
     triple on the critical boundary, plus one equal-sigma cell per tau
-    when ``include_equal_sigma`` is set."""
+    when ``include_equal_sigma`` is set.  Its values are checked where
+    ``TVInstance.config`` builds each cell."""
 
     tau_values: tuple[float, ...]
     gamma1_values: tuple[float, ...]
@@ -543,15 +548,6 @@ class SweepGrid:
         if not (self.include_equal_sigma
                 or (self.gamma1_values and self.gamma2_values)):
             raise ValueError("the sweep grid has no cells")
-        for tau in self.tau_values:
-            if not tau > 0:
-                raise ValueError(f"tau {tau} must be positive")
-        for g in (*self.gamma1_values, *self.gamma2_values):
-            if not 0.0 < g < 1.0:
-                raise ValueError(f"gamma {g} outside (0, 1)")
-        for lam in self.lambda_values:
-            if not 0.0 <= lam <= 2.0:
-                raise ValueError(f"relaxation {lam} outside [0, 2]")
 
 
 SWEEP_COLUMNS = (

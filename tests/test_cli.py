@@ -121,70 +121,110 @@ class TestSolveTV:
         assert captured.out.rstrip().endswith("stop=nonfinite")
 
     # ``extra`` is command-line arguments, edits {old: new} of the
-    # command's config text, or a whole config text
+    # command's config text, or a whole config text.  Each input has
+    # its own id, so a new one renames none of the others; the older
+    # ids keep the index-based names they were first collected under
     @pytest.mark.parametrize("command,extra", [
-        ("solve-tv", ["--eps", "-1"]),
-        ("solve-tv", ["--eps", "0"]),
-        ("solve-tv", ["--max-iter", "0"]),
-        ("solve-tv", ["--lambda", "2.5"]),
+        pytest.param("solve-tv", ["--eps", "-1"], id="solve-tv-extra0"),
+        pytest.param("solve-tv", ["--eps", "0"], id="solve-tv-extra1"),
+        pytest.param("solve-tv", ["--max-iter", "0"], id="solve-tv-extra2"),
+        pytest.param("solve-tv", ["--lambda", "2.5"], id="solve-tv-extra3"),
         # tau * (sigma1 ||D1||^2 + sigma2 ||D2||^2 + sigma3) > 1
-        ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
-                      "sigma1 = 0.5\nsigma2 = 0.5\nsigma3 = 0.5"}),
-        ("sweep", ["--eps", "0"]),
-        ("sweep", ["--max-iter", "0"]),
-        ("solve-tv", {"alpha = 0.01": "alpha = -1"}),
-        ("sweep", {"[sweep]": "[blur]\nsize = 8\n\n[sweep]"}),
-        ("sweep", {"n1 = 16": "n1 = 1"}),
-        ("sweep", {"tau_values = 0.4": "tau_values = -0.2"}),
-        ("sweep", {"gamma1_values = 0.6": "gamma1_values = 1.5"}),
-        ("drs-check", ["--dims", "0"]),
-        ("drs-check", ["--iters", "0"]),
-        ("drs-check", ["--seed", "-1"]),
-        ("sweep", {"seeds = 0": "seeds = 0 -3"}),
-        ("diagnose", {"n1 = 32": "n1 = 0",
-                      "[solver]\n": "[solver]\nproblem = identity\n"}),
+        pytest.param("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
+                                  "sigma1 = 0.5\nsigma2 = 0.5\nsigma3 = 0.5"},
+                     id="solve-tv-extra4"),
+        pytest.param("sweep", ["--eps", "0"], id="sweep-extra5"),
+        pytest.param("sweep", ["--max-iter", "0"], id="sweep-extra6"),
+        pytest.param("solve-tv", {"alpha = 0.01": "alpha = -1"},
+                     id="solve-tv-extra7"),
+        pytest.param("sweep", {"[sweep]": "[blur]\nsize = 8\n\n[sweep]"},
+                     id="sweep-extra8"),
+        pytest.param("sweep", {"n1 = 16": "n1 = 1"}, id="sweep-extra9"),
+        pytest.param("sweep", {"tau_values = 0.4": "tau_values = -0.2"},
+                     id="sweep-extra10"),
+        pytest.param("sweep", {"gamma1_values = 0.6": "gamma1_values = 1.5"},
+                     id="sweep-extra11"),
+        pytest.param("drs-check", ["--dims", "0"], id="drs-check-extra12"),
+        pytest.param("drs-check", ["--iters", "0"], id="drs-check-extra13"),
+        pytest.param("drs-check", ["--seed", "-1"], id="drs-check-extra14"),
+        pytest.param("sweep", {"seeds = 0": "seeds = 0 -3"},
+                     id="sweep-extra15"),
+        pytest.param("diagnose",
+                     {"n1 = 32": "n1 = 0",
+                      "[solver]\n": "[solver]\nproblem = identity\n"},
+                     id="diagnose-extra16"),
         # sweep rows score PSNR against the clean synthetic image
-        ("sweep", {"peak = 1.0\n": "peak = 1.0\nsource = missing.pgm\n"}),
+        pytest.param("sweep",
+                     {"peak = 1.0\n": "peak = 1.0\nsource = missing.pgm\n"},
+                     id="sweep-extra17"),
         # NaN fails every check, before any power iteration
-        ("solve-tv", {"tau = 0.4": "tau = nan"}),
-        ("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
-                      "sigma1 = nan\nsigma2 = 0.1\nsigma3 = 0.1"}),
-        ("solve-tv", {"alpha = 0.01": "alpha = nan"}),
-        ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n",
-                      "tau = 0.4": "tau = nan"}),
-        ("sweep", {"alpha = 0.01": "alpha = nan"}),
+        pytest.param("solve-tv", {"tau = 0.4": "tau = nan"},
+                     id="solve-tv-extra18"),
+        pytest.param("solve-tv", {"gamma1 = 0.6\ngamma2 = 0.01":
+                                  "sigma1 = nan\nsigma2 = 0.1\nsigma3 = 0.1"},
+                     id="solve-tv-extra19"),
+        pytest.param("solve-tv", {"alpha = 0.01": "alpha = nan"},
+                     id="solve-tv-extra20"),
+        pytest.param("diagnose",
+                     {"[solver]\n": "[solver]\nproblem = identity\n",
+                      "tau = 0.4": "tau = nan"},
+                     id="diagnose-extra21"),
+        pytest.param("sweep", {"alpha = 0.01": "alpha = nan"},
+                     id="sweep-extra22"),
         # a sweep with nothing to run
-        ("sweep", {"tau_values = 0.4": "tau_values ="}),
-        ("sweep", {"lambda_values = 1.9": "lambda_values ="}),
-        ("sweep", {"seeds = 0": "seeds ="}),
-        ("sweep", {"gamma1_values = 0.6": "gamma1_values =",
-                   "gamma2_values = 0.01": "gamma2_values =",
-                   "include_equal_sigma = true": "include_equal_sigma = false"}),
-        ("sweep", ["--workers", "0"]),
-        ("sweep", ["--workers", "-3"]),
+        pytest.param("sweep", {"tau_values = 0.4": "tau_values ="},
+                     id="sweep-extra23"),
+        pytest.param("sweep", {"lambda_values = 1.9": "lambda_values ="},
+                     id="sweep-extra24"),
+        pytest.param("sweep", {"seeds = 0": "seeds ="}, id="sweep-extra25"),
+        pytest.param("sweep",
+                     {"gamma1_values = 0.6": "gamma1_values =",
+                      "gamma2_values = 0.01": "gamma2_values =",
+                      "include_equal_sigma = true":
+                      "include_equal_sigma = false"},
+                     id="sweep-extra26"),
+        pytest.param("sweep", ["--workers", "0"], id="sweep-extra27"),
+        pytest.param("sweep", ["--workers", "-3"], id="sweep-extra28"),
         # files the config parser rejects: keys before any section
         # header, a key given twice, a lone % (no interpolation)
-        ("solve-tv", {"[image]\n": ""}),
-        ("diagnose", {"[image]\n": ""}),
-        ("sweep", {"seeds = 0": "seeds = 0\nseeds = 1"}),
-        ("solve-tv", {"tau = 0.4": "tau = 0.4\ntau = 0.5"}),
-        ("solve-tv", {"tau = 0.4": "tau = 0.4%"}),
+        pytest.param("solve-tv", {"[image]\n": ""}, id="solve-tv-extra29"),
+        pytest.param("diagnose", {"[image]\n": ""}, id="diagnose-extra30"),
+        pytest.param("sweep", {"seeds = 0": "seeds = 0\nseeds = 1"},
+                     id="sweep-extra31"),
+        pytest.param("solve-tv", {"tau = 0.4": "tau = 0.4\ntau = 0.5"},
+                     id="solve-tv-extra32"),
+        pytest.param("solve-tv", {"tau = 0.4": "tau = 0.4%"},
+                     id="solve-tv-extra33"),
         # step sizes given both as sigmas and as gammas
-        ("solve-tv", {"gamma2 = 0.01": "gamma2 = 0.01\nsigma3 = 0.1"}),
-        ("diagnose", {"gamma1 = 0.6": "gamma1 = 0.6\nsigma1 = 0.1\n"
-                                      "sigma2 = 0.1\nsigma3 = 0.1"}),
+        pytest.param("solve-tv",
+                     {"gamma2 = 0.01": "gamma2 = 0.01\nsigma3 = 0.1"},
+                     id="solve-tv-extra34"),
+        pytest.param("diagnose",
+                     {"gamma1 = 0.6": "gamma1 = 0.6\nsigma1 = 0.1\n"
+                                      "sigma2 = 0.1\nsigma3 = 0.1"},
+                     id="diagnose-extra35"),
         # every command that takes a config checks the image format
-        ("sweep", {"out_dir = {out}": "out_dir = {out}\nformat = P7"}),
-        ("diagnose", {"out_dir = {out}": "out_dir = {out}\nformat = P7"}),
+        pytest.param("sweep",
+                     {"out_dir = {out}": "out_dir = {out}\nformat = P7"},
+                     id="sweep-extra36"),
+        pytest.param("diagnose",
+                     {"out_dir = {out}": "out_dir = {out}\nformat = P7"},
+                     id="diagnose-extra37"),
         # the identity problem reads no gammas
-        ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n"}),
-        ("diagnose", {"[solver]\n": "[solver]\nproblem = identity\n",
-                      "gamma1 = 0.6\n": ""}),
+        pytest.param("diagnose",
+                     {"[solver]\n": "[solver]\nproblem = identity\n"},
+                     id="diagnose-extra38"),
+        pytest.param("diagnose",
+                     {"[solver]\n": "[solver]\nproblem = identity\n",
+                      "gamma1 = 0.6\n": ""},
+                     id="diagnose-extra39"),
         # eps = inf would pass the first step; alpha = inf has no solution
-        ("solve-tv", ["--eps", "inf"]),
-        ("sweep", ["--eps", "inf"]),
-        ("solve-tv", {"alpha = 0.01": "alpha = inf"}),
-        ("sweep", {"alpha = 0.01": "alpha = inf"}),
+        pytest.param("solve-tv", ["--eps", "inf"], id="solve-tv-extra40"),
+        pytest.param("sweep", ["--eps", "inf"], id="sweep-extra41"),
+        pytest.param("solve-tv", {"alpha = 0.01": "alpha = inf"},
+                     id="solve-tv-extra42"),
+        pytest.param("sweep", {"alpha = 0.01": "alpha = inf"},
+                     id="sweep-extra43"),
         # a key outside the identity problem's format (IDENTITY_CONFIG
         # itself passes diagnose), or one outside the TV format
         pytest.param("diagnose", IDENTITY_CONFIG + "alpha = -7\n",
@@ -202,7 +242,9 @@ class TestSolveTV:
                      id="diagnose-identity-out-dir"),
         pytest.param("diagnose", IDENTITY_CONFIG + "sigma1 = 0.5\n",
                      id="diagnose-identity-sigma1"),
-        ("solve-tv", {"alpha = 0.01": "alpha = 0.01\nsigma = 123"}),
+        pytest.param("solve-tv",
+                     {"alpha = 0.01": "alpha = 0.01\nsigma = 123"},
+                     id="solve-tv-extra51"),
         # the identity problem's own checks, on a file of its format
         pytest.param("diagnose", IDENTITY_CONFIG.replace("n1 = 4", "n1 = 0"),
                      id="diagnose-identity-n1"),
@@ -211,8 +253,22 @@ class TestSolveTV:
                      id="diagnose-identity-tau-nan"),
         # a problem the command does not solve
         pytest.param("solve-tv", IDENTITY_CONFIG, id="solve-tv-identity"),
-        ("sweep", {"[solver]\n": "[solver]\nproblem = identity\n"}),
-        ("diagnose", {"[solver]\n": "[solver]\nproblem = bogus\n"}),
+        pytest.param("sweep",
+                     {"[solver]\n": "[solver]\nproblem = identity\n"},
+                     id="sweep-extra55"),
+        pytest.param("diagnose",
+                     {"[solver]\n": "[solver]\nproblem = bogus\n"},
+                     id="diagnose-extra56"),
+        # an infinite peak or noise level has no image; an infinite tau
+        # gives zero sigmas
+        pytest.param("sweep", {"peak = 1.0": "peak = inf"},
+                     id="sweep-peak-inf"),
+        pytest.param("solve-tv", {"peak = 1.0": "peak = inf"},
+                     id="solve-tv-peak-inf"),
+        pytest.param("sweep", {"[sweep]": "[noise]\nstd_rel = inf\n\n[sweep]"},
+                     id="sweep-noise-inf"),
+        pytest.param("sweep", {"tau_values = 0.4": "tau_values = inf"},
+                     id="sweep-tau-inf"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):

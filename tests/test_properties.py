@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pdsplit import (
     DRSProblem,
+    DisplacementMonitor,
     ImageGrid,
     RelaxationSchedule,
     TVConfig,
@@ -19,6 +20,7 @@ from pdsplit import (
     equivalence_deviation,
     fixed_point_transport,
     gradient_norm_sq,
+    km_iterate,
     matrix_op,
     matrix_precond,
     monotone_linear,
@@ -97,6 +99,22 @@ def test_metric_and_resolvent_at_critical_steps(n1, n2, tau, gamma1, gamma2,
         jz, jw = pd_resolvent(problem, z), pd_resolvent(problem, w)
         step = problem.metric((z - jz) - (w - jw))
         assert (jz - jw) @ step >= -1e-10 * norm(jz - jw) * norm(step)
+
+
+@examples
+@critical_tv
+def test_displacement_never_increases(n1, n2, tau, gamma1, gamma2, seed):
+    # with a constant relaxation lambda in (0, 2), the V-seminorm of the
+    # displacement J z_n - z_n is nonincreasing along the iteration
+    rng = np.random.default_rng(seed)
+    problem = critical_problem(n1, n2, tau, gamma1, gamma2, rng)
+    lam = float(rng.uniform(0.05, 1.95))
+    mon = DisplacementMonitor(problem)
+    km_iterate(lambda z: pd_resolvent(problem, z),
+               random_state(rng, n1 * n2),
+               RelaxationSchedule.constant(lam), None, 60, monitors=(mon,))
+    for a, b in zip(mon.values[:-1], mon.values[1:]):
+        assert b <= a * (1.0 + 1e-12)
 
 
 def random_precond(kind, rng, n, draw=None):

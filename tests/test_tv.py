@@ -220,6 +220,25 @@ class TestBoundaryParameterizations:
             boundary_sigmas(0.2, 0.5, 1.0, 4.0, 4.0)
 
 
+class TestTVConfig:
+    @pytest.mark.parametrize("bad", [
+        {"eps": 0.0}, {"eps": math.inf}, {"eps": math.nan},
+        {"max_iter": 0}, {"alpha": -1.0}, {"alpha": math.inf},
+        {"relaxation": 2.5}, {"sigma2": 0.0}, {"sigma2": math.nan},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_value(self, bad):
+        steps = {"tau": 0.4, "sigma1": 0.1, "sigma2": 0.1, "sigma3": 0.1}
+        TVConfig(**steps)
+        with pytest.raises(ValueError):
+            TVConfig(**{**steps, **bad})
+
+    def test_defaults_are_the_instance_defaults(self):
+        cfg, inst = TVConfig(0.4, 0.1, 0.1, 0.1), TVInstance()
+        for name in ("alpha", "eps", "max_iter", "blur_size", "blur_std",
+                     "noise_std_rel"):
+            assert getattr(cfg, name) == getattr(inst, name)
+
+
 class TestBuildProblem:
     def test_rejects_boundary_violation(self):
         _, R, observed = small_instance(n=16)
