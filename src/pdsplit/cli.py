@@ -279,6 +279,7 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
+        # --workers is checked, but the cells run one after another
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got "
                               f"{args.workers}")
@@ -309,15 +310,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"got {seeds}"
             )
         instance = _instance(cp, args)
+        # every cell is checked before the output directory exists
+        configs = grid.configs(instance, seeds)
         out_dir = _out_dir(cp, args)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # a cell's own failure is a row; what sweep raises comes from
-        # building the cells' configs, before any of them runs
-        rows = sweep(grid, instance, seeds, workers=args.workers)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    rows = sweep(configs, instance)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     n_conv = sum(1 for r in rows if r["converged"])
     print(f"cells={len(rows)} converged={n_conv} -> {out_dir / 'sweep.csv'}")

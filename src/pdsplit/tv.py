@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -534,7 +533,7 @@ class SweepGrid:
     """Cells of the step-size study: every (tau, gamma1, gamma2)
     triple on the critical boundary, plus one equal-sigma cell per tau
     when ``include_equal_sigma`` is set.  Its values are checked where
-    ``TVInstance.config`` builds each cell."""
+    ``configs`` builds each cell."""
 
     tau_values: tuple[float, ...]
     gamma1_values: tuple[float, ...]
@@ -548,6 +547,22 @@ class SweepGrid:
         if not (self.include_equal_sigma
                 or (self.gamma1_values and self.gamma2_values)):
             raise ValueError("the sweep grid has no cells")
+
+    def configs(self, instance: TVInstance,
+                seeds: Sequence[int]) -> list[TVConfig]:
+        """One ``TVConfig`` per (cell, seed) on ``instance``, in
+        cell-major order: per tau, every gamma pair and then the
+        equal-sigma cell, each for every lambda and then every seed."""
+        steps = list(product(self.gamma1_values, self.gamma2_values))
+        if self.include_equal_sigma:
+            steps.append(None)
+        return [
+            instance.config(tau, lam, seed, gammas=gammas)
+            for tau in self.tau_values
+            for gammas in steps
+            for lam in self.lambda_values
+            for seed in seeds
+        ]
 
 
 SWEEP_COLUMNS = (
@@ -593,36 +608,14 @@ def _run_cell(cfg, observed, R, clean):
     return row
 
 
-def sweep(
-    grid: SweepGrid,
-    instance: TVInstance,
-    seeds: Sequence[int],
-    workers: int | None = None,
-) -> list[dict]:
-    """Run every sweep cell for every seed; one row per (cell, seed).
-
-    Cells are independent and reproducible: each runs on
-    ``instance.observe(seed)`` for its row's seed, and rows come back
-    in deterministic cell-major order regardless of scheduling.
-    """
+def sweep(configs: Sequence[TVConfig], instance: TVInstance) -> list[dict]:
+    """Run the cells one after another: one row per config, in order.
+    Each cell runs on ``instance.observe(cfg.seed)``, built once per
+    seed, so a rerun gives the same rows apart from ``wall_ms``."""
+    seeds = dict.fromkeys(cfg.seed for cfg in configs)
     observations = {seed: instance.observe(seed) for seed in seeds}
-    # per tau: every gamma pair, then the equal-sigma cell (gammas None)
-    steps = list(product(grid.gamma1_values, grid.gamma2_values))
-    if grid.include_equal_sigma:
-        steps.append(None)
-    jobs = [
-        instance.config(tau, lam, seed, gammas=gammas)
-        for tau in grid.tau_values
-        for gammas in steps
-        for lam in grid.lambda_values
-        for seed in seeds
-    ]
-
-    def run(cfg: TVConfig) -> dict:
+    rows = []
+    for cfg in configs:
         clean, R, observed = observations[cfg.seed]
-        return _run_cell(cfg, observed, R, clean)
-
-    if workers is None or workers <= 1:
-        return [run(cfg) for cfg in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, jobs))
+        rows.append(_run_cell(cfg, observed, R, clean))
+    return rows

@@ -321,7 +321,7 @@ def test_criterion_08_distinct_sigma_trend(tv_instance):
         lambda_values=(1.9,),
         include_equal_sigma=True,
     )
-    rows = sweep(grid, instance, seeds=(0,), workers=1)
+    rows = sweep(grid.configs(instance, (0,)), instance)
     assert all(r["converged"] for r in rows)
 
     def is_equal_sigma(r):

@@ -394,6 +394,21 @@ class TestOutput:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert taken.read_text() == "not a directory\n"
 
+    def test_rejected_sweep_makes_no_directory(self, tmp_path, capsys):
+        # every cell's config is checked before the output directory
+        # is made
+        text = SWEEP_CONFIG.replace("tau_values = 0.4", "tau_values = -0.2")
+        out = tmp_path / "newdir"
+        rc = main(["sweep", "--config",
+                   write_config(tmp_path, text, out=str(out)),
+                   "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("fmt", ["P2", "p2", "P5", "p5"])
     def test_format_names_the_pgm_encoding(self, tmp_path, fmt):

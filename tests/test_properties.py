@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pdsplit import (
     DRSProblem,
     DisplacementMonitor,
+    FejerMonitor,
     ImageGrid,
     RelaxationSchedule,
     TVConfig,
@@ -17,6 +18,7 @@ from pdsplit import (
     build_problem,
     dense_range_diagnostics,
     diagonal_precond,
+    drs_operator,
     equivalence_deviation,
     fixed_point_transport,
     gradient_norm_sq,
@@ -26,6 +28,7 @@ from pdsplit import (
     monotone_linear,
     pd_resolvent,
     scalar_precond,
+    zero_inclusion_residual,
     zero_operator,
 )
 
@@ -115,6 +118,36 @@ def test_displacement_never_increases(n1, n2, tau, gamma1, gamma2, seed):
                RelaxationSchedule.constant(lam), None, 60, monitors=(mon,))
     for a, b in zip(mon.values[:-1], mon.values[1:]):
         assert b <= a * (1.0 + 1e-12)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(n1=st.integers(3, 5), n2=st.integers(3, 5), tau=st.floats(0.05, 3.0),
+       gamma1=fraction, gamma2=fraction, seed=st.integers(0, 2**32 - 1))
+def test_anchored_distance_never_increases(n1, n2, tau, gamma1, gamma2,
+                                           seed):
+    # Fejer monotonicity: with a constant relaxation lambda in (0, 2),
+    # the V-seminorm distance to a shadow-fixed anchor never increases
+    rng = np.random.default_rng(seed)
+    problem = critical_problem(n1, n2, tau, gamma1, gamma2, rng)
+
+    def resolvent(z):
+        return pd_resolvent(problem, z)
+
+    anchor = random_state(rng, n1 * n2)
+    for _ in range(200):
+        if zero_inclusion_residual(problem, anchor) < 1e-12:
+            break
+        anchor = km_iterate(resolvent, anchor,
+                            RelaxationSchedule.constant(1.0), None, 100).state
+    assert zero_inclusion_residual(problem, anchor) < 1e-12
+
+    lam = float(rng.uniform(0.05, 1.95))
+    mon = FejerMonitor(problem, anchor)
+    km_iterate(resolvent, random_state(rng, n1 * n2),
+               RelaxationSchedule.constant(lam), None, 60, monitors=(mon,))
+    d0 = mon.values[0]
+    assert d0 > 0
+    assert mon.max_single_step_increase <= 1e-9 * d0
 
 
 def random_precond(kind, rng, n, draw=None):
@@ -258,3 +291,23 @@ def test_fixed_point_transport_round_trips(n, kind, seed):
     assert norm(back - z) <= 1e-12 * (1.0 + norm(z))
     x_next = pd_resolvent(as_pd_problem(p), state)[:n]
     assert norm(x_next - x_star) <= 1e-10 * (1.0 + norm(x_star))
+
+
+@examples
+@given(n=st.integers(1, 8), kind=preconds, log_scale=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_shadow_fixed_state_transports_to_a_drs_fixed_point(n, kind,
+                                                            log_scale, seed):
+    # the reverse transport: the kernel of V is {(Y w, w)}, so every
+    # shadow-fixed state of as_pd_problem(p) is the saddle point
+    # (x*, -A x*) plus (Y w, w), and its x - Y u is fixed by the DRS map
+    rng = np.random.default_rng(seed)
+    p, x_star, a_star = dense_drs(kind, rng, n)
+    problem = as_pd_problem(p)
+    w = 10.0 ** log_scale * rng.standard_normal(n)
+    state = np.concatenate((x_star + p.upsilon.apply(w), w - a_star))
+    norm = np.linalg.norm
+    shift = problem.metric(pd_resolvent(problem, state) - state)
+    assert norm(shift) <= 1e-10 * (1.0 + norm(state))
+    z = state[:n] - p.upsilon.apply(state[n:])
+    assert norm(drs_operator(p, z) - z) <= 1e-10 * (1.0 + norm(z))

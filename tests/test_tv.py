@@ -332,12 +332,12 @@ class TestSweep:
         from pdsplit.tv import SWEEP_COLUMNS
 
         grid, inst = self._tiny()
-        rows = sweep(grid, inst, seeds=(0, 1))
+        rows = sweep(grid.configs(inst, (0, 1)), inst)
         assert len(rows) == 4  # (1 gamma cell + equal-sigma) x 2 seeds
         for row in rows:
             assert set(row) == set(SWEEP_COLUMNS)
             assert row["converged"]
-        rows2 = sweep(grid, inst, seeds=(0, 1))
+        rows2 = sweep(grid.configs(inst, (0, 1)), inst)
         for a, b in zip(rows, rows2):
             for key in a:
                 if key != "wall_ms":
@@ -345,7 +345,7 @@ class TestSweep:
 
     def test_cells_satisfy_boundary(self):
         grid, inst = self._tiny()
-        rows = sweep(grid, inst, seeds=(0,))
+        rows = sweep(grid.configs(inst, (0,)), inst)
         d = gradient_norm_sq(16)
         for row in rows:
             val = row["tau"] * (row["sigma1"] * d + row["sigma2"] * d
@@ -366,7 +366,7 @@ class TestSweep:
         grid = SweepGrid(grid.tau_values, grid.gamma1_values,
                          grid.gamma2_values, grid.lambda_values,
                          include_equal_sigma=False)
-        rows = sweep(grid, inst, seeds=(7,))
+        rows = sweep(grid.configs(inst, (7,)), inst)
         assert len(rows) == 1
         row = rows[0]
         clean, R, observed = None, None, None
@@ -392,7 +392,7 @@ class TestSweep:
         # max_iter=1 cannot converge; row must report the failure
         grid, _ = self._tiny()
         inst = TVInstance(n1=16, n2=16, peak=1.0, eps=1e-12, max_iter=1)
-        rows = sweep(grid, inst, seeds=(0,))
+        rows = sweep(grid.configs(inst, (0,)), inst)
         assert all(not r["converged"] for r in rows)
         assert all(r["error"] == "" for r in rows)
         # a cell that raises gives a NaN row naming the exception
@@ -402,7 +402,7 @@ class TestSweep:
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(tv_mod, "run_tv_solver", boom)
-        rows = sweep(grid, inst, seeds=(0,))
+        rows = sweep(grid.configs(inst, (0,)), inst)
         assert len(rows) == 2
         for r in rows:
             assert r["error"] == "RuntimeError: solver exploded"
