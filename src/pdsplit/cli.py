@@ -6,8 +6,8 @@ output), ``sweep`` (step-size/relaxation study to CSV), ``drs-check``
 small-scale metric diagnostics).
 
 ``solve-tv``, ``sweep`` and ``diagnose`` read the TV experiment the
-same way: ``_INSTANCE_KEYS`` maps config keys onto ``tv.TVInstance``,
-whose field defaults and checks are the only ones.
+same way: ``_FORMATS["tv"]`` maps config keys onto ``tv.TVInstance``
+fields, whose defaults and checks are the only ones.
 
 Exit codes: 0 success, 1 configuration error, 2 non-convergence
 (including a run stopped by a non-finite iterate).
@@ -59,24 +59,29 @@ EXIT_NOCONV = 2
 TRACE_COLUMNS = ("n", "residual", "objective")
 
 # the sections and keys a config may hold, by its [solver] problem; the
-# three TV commands share one format, so one file can drive them all
+# three TV commands share one format, so one file can drive them all.
+# A TV key maps to the TVInstance field it sets (a missing key keeps
+# that field's default), or to None when the commands read it
+# themselves
 _FORMATS = {
     "tv": {
-        "image": {"n1", "n2", "peak", "source"},
-        "blur": {"size", "std"},
-        "noise": {"std_rel"},
+        "image": {"n1": "n1", "n2": "n2", "peak": "peak", "source": None},
+        "blur": {"size": "blur_size", "std": "blur_std"},
+        "noise": {"std_rel": "noise_std_rel"},
         "solver": {
-            "problem", "tau", "sigma1", "sigma2", "sigma3", "gamma1",
-            "gamma2", "alpha", "lambda", "eps", "max_iter", "seed",
+            "problem": None, "tau": None, "sigma1": None, "sigma2": None,
+            "sigma3": None, "gamma1": None, "gamma2": None, "alpha": "alpha",
+            "lambda": None, "eps": "eps", "max_iter": "max_iter", "seed": None,
         },
-        "sweep": {
+        "sweep": dict.fromkeys((
             "tau_values", "gamma1_values", "gamma2_values", "lambda_values",
             "seeds", "include_equal_sigma",
-        },
-        "output": {"out_dir", "format"},
+        )),
+        "output": dict.fromkeys(("out_dir", "format")),
     },
     # a toy saddle problem for diagnose; n1 is its dimension
-    "identity": {"image": {"n1"}, "solver": {"problem", "tau", "sigma"}},
+    "identity": {"image": {"n1": None},
+                 "solver": dict.fromkeys(("problem", "tau", "sigma"))},
 }
 
 
@@ -165,31 +170,17 @@ def write_sweep_csv(path, rows) -> None:
         w.writerows([text(row[c]) for c in SWEEP_COLUMNS] for row in rows)
 
 
-# the config keys of the TV experiment, by the TVInstance field each
-# sets; a missing key keeps that field's default
-_INSTANCE_KEYS = {
-    ("image", "n1"): "n1",
-    ("image", "n2"): "n2",
-    ("image", "peak"): "peak",
-    ("blur", "size"): "blur_size",
-    ("blur", "std"): "blur_std",
-    ("noise", "std_rel"): "noise_std_rel",
-    ("solver", "alpha"): "alpha",
-    ("solver", "eps"): "eps",
-    ("solver", "max_iter"): "max_iter",
-}
-
-
 def _instance(cp: configparser.ConfigParser, overrides: argparse.Namespace,
               **fixed) -> TVInstance:
-    """The experiment a config describes: its ``_INSTANCE_KEYS``, then
-    ``--eps`` and ``--max-iter`` where the command has them, then the
-    fields in ``fixed``."""
+    """The experiment a config describes: its keys that ``_FORMATS``
+    maps to ``TVInstance`` fields, then ``--eps`` and ``--max-iter``
+    where the command has them, then the fields in ``fixed``."""
     kinds = {f.name: type(f.default) for f in fields(TVInstance)}
     kwargs = {
         name: kinds[name](cp[section][key])
-        for (section, key), name in _INSTANCE_KEYS.items()
-        if cp.has_option(section, key)
+        for section, keys in _FORMATS["tv"].items()
+        for key, name in keys.items()
+        if name is not None and cp.has_option(section, key)
     }
     for name in ("eps", "max_iter"):
         if getattr(overrides, name, None) is not None:
@@ -342,6 +333,11 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
             print(f"config error: --{name} must be at least {low}",
                   file=sys.stderr)
             return EXIT_CONFIG
+    # the instances are dense dims x dims matrices
+    if args.dims > DENSE_DIM_LIMIT:
+        print(f"config error: --dims must be at most {DENSE_DIM_LIMIT}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.instances):

@@ -35,49 +35,39 @@ DIVERGENCE_FLOOR = 1.0
 
 @dataclass(frozen=True)
 class RelaxationSchedule:
-    """Relaxation parameters lambda_n in [0, 2], constant or tabulated."""
+    """Relaxation parameters lambda_n in [0, 2]: lambda_n is
+    ``values[n]``, and the last value repeats."""
 
-    lambda_at: Callable[[int], float]
+    values: tuple[float, ...]
 
-    @staticmethod
-    def constant(lam: float) -> "RelaxationSchedule":
-        lam = float(lam)
-        _check_lambda(lam)
-        return RelaxationSchedule(lambda n: lam)
-
-    @staticmethod
-    def from_sequence(values: Sequence[float]) -> "RelaxationSchedule":
-        vals = [float(v) for v in values]
+    def __post_init__(self):
+        vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("empty relaxation sequence")
         for v in vals:
-            _check_lambda(v)
+            if not 0.0 <= v <= 2.0:
+                raise ValueError(f"relaxation parameter {v} outside [0, 2]")
+        object.__setattr__(self, "values", vals)
 
-        def at(n: int) -> float:
-            return vals[n] if n < len(vals) else vals[-1]
+    @staticmethod
+    def constant(lam: float) -> "RelaxationSchedule":
+        return RelaxationSchedule((lam,))
 
-        return RelaxationSchedule(at)
+    @staticmethod
+    def from_sequence(values: Sequence[float]) -> "RelaxationSchedule":
+        return RelaxationSchedule(tuple(values))
 
-    def divergence_surrogate(self, n_terms: int,
-                             floor: float | None = None) -> float:
-        """Partial sum of lambda_n (2 - lambda_n), the divergence
-        surrogate guaranteeing asymptotic regularity.
+    def lambda_at(self, n: int) -> float:
+        vals = self.values
+        return vals[n] if n < len(vals) else vals[-1]
 
-        With ``floor`` given, stops accumulating once the floor is
-        reached (long constant schedules clear it after a few terms).
-        """
-        total = 0.0
-        for n in range(n_terms):
-            lam = self.lambda_at(n)
-            total += lam * (2.0 - lam)
-            if floor is not None and total >= floor:
-                break
-        return total
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 2.0:
-        raise ValueError(f"relaxation parameter {lam} outside [0, 2]")
+    def divergence_surrogate(self, n_terms: int) -> float:
+        """Partial sum of lambda_n (2 - lambda_n) over n < n_terms, the
+        divergence surrogate guaranteeing asymptotic regularity."""
+        head = self.values[:n_terms]
+        last = self.values[-1]
+        tail = max(n_terms - len(head), 0)
+        return sum(v * (2.0 - v) for v in head) + tail * last * (2.0 - last)
 
 
 @dataclass(frozen=True)
@@ -150,11 +140,12 @@ def km_iterate(
     1-D array or an HVector, and the result's ``state`` is a flat
     array.  Monitors and ``objective_fn`` see flat arrays.  A
     step with lambda_n = 0 never meets ``eps``: its relaxed step is zero
-    whatever S z_n - z_n is.  ``eps=None`` disables the stopping rule
-    and runs exactly ``max_iter`` steps (used by sequence-equivalence
-    checks).  Stopping at ``max_iter`` without meeting ``eps`` is
-    reported, not raised; so is a non-finite S z_n - z_n, which ends
-    the run at the last finite iterate.  Bit-deterministic for
+    whatever S z_n - z_n is.  At z_n = 0 the relative step is 0 when
+    S z_n = z_n exactly and infinite otherwise.  ``eps=None`` disables
+    the stopping rule and runs exactly ``max_iter`` steps (used by
+    sequence-equivalence checks).  Stopping at ``max_iter`` without
+    meeting ``eps`` is reported, not raised; so is a non-finite
+    S z_n - z_n, which ends the run at the last finite iterate.  Bit-deterministic for
     identical inputs and schedule.
     """
     if eps is not None and not 0 < eps < math.inf:
@@ -162,8 +153,7 @@ def km_iterate(
                          "fixed-count runs)")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if sched.divergence_surrogate(max_iter,
-                                  floor=DIVERGENCE_FLOOR) < DIVERGENCE_FLOOR:
+    if sched.divergence_surrogate(max_iter) < DIVERGENCE_FLOOR:
         warnings.warn(
             "relaxation schedule has a small divergence surrogate "
             "sum(lambda_n (2 - lambda_n)); convergence may stall",
@@ -186,7 +176,8 @@ def km_iterate(
             trace.append(IterTrace(n, math.nan))
             stop = "nonfinite"
             break
-        r = lam * step / nz if nz != 0.0 else math.inf
+        # from z = 0 only an exact fixed point has a finite step
+        r = lam * step / nz if nz != 0.0 else (math.inf if step else 0.0)
         z_next *= lam
         z_next += z
         for m in monitors:

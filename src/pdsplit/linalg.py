@@ -1,13 +1,13 @@
 """Finite-dimensional Hilbert-space primitives.
 
-Validated input vectors with shape metadata, linear operators with
-adjoints, strongly monotone self-adjoint preconditioners, power
-iteration and small-scale dense range diagnostics of a symmetric
-matrix.  The saddle-point metric V built from these pieces belongs to
-``primal_dual.PDProblem``, which also owns the flat state layout
-``x | u_1 | ... | u_m`` (``PDProblem.dual_slices``).  ``HVector`` only
-records a vector that enters from outside (an observation or a start
-point), and ``as_flat`` turns one into an array.
+Validated input vectors, linear operators with adjoints, strongly
+monotone self-adjoint preconditioners, power iteration and small-scale
+dense range diagnostics of a symmetric matrix.  The saddle-point
+metric V built from these pieces belongs to ``primal_dual.PDProblem``,
+which also owns the flat state layout ``x | u_1 | ... | u_m``
+(``PDProblem.dual_slices``).  ``HVector`` only records a vector that
+enters from outside (an observation or a start point), and
+``as_flat`` turns one into an array.
 
 In infinite dimensions the quadratic form of a monotone self-adjoint
 operator induces a complete metric on its range only when that range
@@ -67,40 +67,25 @@ def _freeze(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HVector:
-    """Validated input vector of a finite-dimensional real Hilbert space.
-
-    Stores a read-only flat float64 copy of finite entries together with
-    the logical shape it represents (e.g. ``(n1, n2)`` for an image).
-    """
+    """Validated input vector of a finite-dimensional real Hilbert space:
+    a read-only flat float64 copy of finite entries."""
 
     data: np.ndarray
-    dims: tuple[int, ...]
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64).ravel()
-        dims = tuple(int(d) for d in self.dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"dims must be positive, got {dims}")
-        if data.size != math.prod(dims):
-            raise ValueError(
-                f"data length {data.size} does not match dims {dims}"
-            )
+        data = _freeze(np.ravel(self.data))
         if not np.all(np.isfinite(data)):
             raise ValueError("HVector entries must be finite")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "data", data)
 
     @property
     def size(self) -> int:
         return self.data.size
 
 
-def hvector(values, dims: tuple[int, ...] | None = None) -> HVector:
-    """Build an HVector from any array-like, defaulting to a flat shape."""
-    arr = np.asarray(values, dtype=np.float64)
-    if dims is None:
-        dims = arr.shape if arr.ndim > 0 else (1,)
-    return HVector(arr.ravel(), tuple(dims))
+def hvector(values) -> HVector:
+    """Build an HVector from any array-like."""
+    return HVector(values)
 
 
 def as_flat(z) -> np.ndarray:
@@ -319,22 +304,18 @@ class RangeDiagnostics:
     kernel_basis: np.ndarray
 
 
-def dense_range_diagnostics(
-    mat: np.ndarray,
-    max_dim: int = DENSE_DIM_LIMIT,
-) -> RangeDiagnostics:
+def dense_range_diagnostics(mat: np.ndarray) -> RangeDiagnostics:
     """Eigendecompose a symmetric matrix, e.g. ``PDProblem.metric_matrix()``.
 
     Exists to test theory at desk scale; solvers never need it, so the
-    dimension is capped at ``max_dim``.
+    dimension is capped at ``DENSE_DIM_LIMIT``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if mat.shape[0] > max_dim:
-        raise ValueError(
-            f"dimension {mat.shape[0]} exceeds max_dim {max_dim}"
-        )
+    if mat.shape[0] > DENSE_DIM_LIMIT:
+        raise ValueError(f"dimension {mat.shape[0]} exceeds the dense "
+                         f"limit {DENSE_DIM_LIMIT}")
     w, u = np.linalg.eigh(mat)
     lam_max = float(w[-1]) if w.size else 0.0
     cutoff = 1e-10 * max(lam_max, 0.0)

@@ -209,14 +209,9 @@ class StepCondition:
     critical: bool
 
 
-def step_condition(
-    p: PDProblem,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 50000,
-) -> StepCondition:
+def step_condition(p: PDProblem, seed: int = 0) -> StepCondition:
     """Estimate the step-size condition sum_i ||sqrt(S_i) L_i sqrt(Y)||^2
-    by power iteration.
+    by power iteration to a relative tolerance of 1e-8.
 
     Each block norm is obtained by power-iterating the self-adjoint
     map sqrt(Y) L_i^* S_i L_i sqrt(Y) separately; the per-block sum is
@@ -236,9 +231,7 @@ def step_condition(
             return root.apply(w, out=out)
 
         op = LinOp(fwd, fwd, n, n)
-        est += power_iteration_sqnorm(
-            op, tol=tol, max_iter=max_iter, seed=seed
-        )
+        est += power_iteration_sqnorm(op, tol=1e-8, seed=seed)
     return StepCondition(
         norm_sq_estimate=est, critical=abs(est - 1.0) <= COND_TOL
     )

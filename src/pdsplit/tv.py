@@ -75,7 +75,7 @@ class ImageGrid:
         return self.pixels.shape
 
     def as_hvector(self) -> HVector:
-        return HVector(self.pixels.ravel(), self.pixels.shape)
+        return HVector(self.pixels)
 
 
 def gradient_norm_sq(n: int) -> float:
@@ -141,9 +141,7 @@ def build_gradient_ops(n1: int, n2: int) -> tuple[LinOp, LinOp]:
         d[:, -1] = y[:, -2]
         return flat if out is None else out
 
-    d1 = LinOp(d1_fwd, d1_adj, n, n, grid_shape=shape)
-    d2 = LinOp(d2_fwd, d2_adj, n, n, grid_shape=shape)
-    return d1, d2
+    return LinOp(d1_fwd, d1_adj, n, n), LinOp(d2_fwd, d2_adj, n, n)
 
 
 def gaussian_kernel(size: int, std: float) -> np.ndarray:

@@ -102,30 +102,29 @@ def anchor(tv_instance):
 
 @pytest.fixture(scope="module")
 def monitored_run(tv_instance, anchor):
-    """Fresh unit-relaxation solve with both seminorm monitors attached."""
+    """Fresh unit-relaxation solve with both seminorm monitors attached
+    and per-iteration objectives recorded; criterion 7 reuses it."""
     _, blur, observed = tv_instance
     fm = FejerMonitor(anchor.problem, anchor.state)
     dm = DisplacementMonitor(anchor.problem)
     t0 = time.perf_counter()
-    run = run_tv_solver(tv_config(1.0), observed, blur, monitors=(fm, dm))
+    run = run_tv_solver(tv_config(1.0), observed, blur, monitors=(fm, dm),
+                        record_objective=True)
     elapsed = time.perf_counter() - t0
     assert run.converged
     return fm, dm, run, elapsed
 
 
 @pytest.fixture(scope="module")
-def relaxation_runs(tv_instance):
-    """Criterion-7 runs with per-iteration objectives recorded."""
+def relaxation_runs(tv_instance, monitored_run):
+    """Criterion-7 runs with per-iteration objectives recorded: the
+    monitored unit-relaxation run and a fresh one at 1.9."""
     _, blur, observed = tv_instance
-    out = {}
-    for lam in (1.0, 1.9):
-        t0 = time.perf_counter()
-        out[lam] = (
-            run_tv_solver(tv_config(lam), observed, blur,
-                          record_objective=True),
-            time.perf_counter() - t0,
-        )
-    return out
+    _, _, run1, t1 = monitored_run
+    t0 = time.perf_counter()
+    run9 = run_tv_solver(tv_config(1.9), observed, blur,
+                         record_objective=True)
+    return {1.0: (run1, t1), 1.9: (run9, time.perf_counter() - t0)}
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,23 @@ class TestSolveTV:
         assert "iterations=5 converged=False" in out
         assert out.rstrip().endswith("stop=max_iter")
 
+    def test_black_image_is_a_fixed_point(self, tmp_path, capsys):
+        # the zero start is an exact fixed point: S z = z = 0
+        import numpy as np
+
+        from pdsplit.pgm import write_pgm
+
+        src = tmp_path / "black.pgm"
+        write_pgm(src, np.zeros((16, 16)))
+        text = "[image]\nsource = {src}\n[blur]\nsize = 3\n"
+        cfg = write_config(tmp_path, text, src=src)
+        rc = main(["solve-tv", "--config", cfg, "--out-dir",
+                   str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "iterations=1 converged=True residual=0.000e+00" in out
+        assert out.rstrip().endswith("stop=eps")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_run_exit_2(self, tmp_path, capsys, monkeypatch):
         import numpy as np
@@ -269,6 +286,9 @@ class TestSolveTV:
                      id="sweep-noise-inf"),
         pytest.param("sweep", {"tau_values = 0.4": "tau_values = inf"},
                      id="sweep-tau-inf"),
+        # dense dims x dims instances; rejected before any is built
+        pytest.param("drs-check", ["--dims", "100000"],
+                     id="drs-check-dims-dense"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):

@@ -38,11 +38,30 @@ class TestRelaxationSchedule:
         with pytest.raises(ValueError):
             RelaxationSchedule.from_sequence([1.0, -0.1])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            RelaxationSchedule.from_sequence([])
+
+    def test_array_and_list_give_equal_schedules(self):
+        vals = [0.5, 1.9, 1.0]
+        assert RelaxationSchedule.from_sequence(np.array(vals)) \
+            == RelaxationSchedule.from_sequence(vals)
+        assert RelaxationSchedule.constant(1) \
+            == RelaxationSchedule.from_sequence([1.0])
+
     def test_divergence_surrogate(self):
         s = RelaxationSchedule.constant(1.0)
         assert s.divergence_surrogate(10) == pytest.approx(10.0)
         s2 = RelaxationSchedule.constant(2.0)
         assert s2.divergence_surrogate(10) == 0.0
+
+    @pytest.mark.parametrize("n_terms", [0, 2, 4, 5, 11])
+    def test_divergence_surrogate_is_the_termwise_sum(self, n_terms):
+        s = RelaxationSchedule.from_sequence([0.3, 1.9, 1.0, 0.0, 1.2])
+        termwise = sum(s.lambda_at(n) * (2.0 - s.lambda_at(n))
+                       for n in range(n_terms))
+        assert s.divergence_surrogate(n_terms) \
+            == pytest.approx(termwise, rel=1e-15, abs=0.0)
 
     def test_degenerate_schedule_warns(self):
         s = RelaxationSchedule.constant(2.0)
@@ -61,6 +80,13 @@ class TestKMIterate:
         assert res.stop_reason == "eps"
         np.testing.assert_allclose(res.state, c.data)
         assert res.trace[1].residual == 0.0
+
+    def test_exact_fixed_point_at_zero_converges(self):
+        res = km_iterate(lambda z: np.zeros_like(z), np.zeros(3),
+                         RelaxationSchedule.constant(1.0), 1e-8, 50)
+        assert res.stop_reason == "eps"
+        assert res.iterations == 1
+        assert res.trace[0].residual == 0.0
 
     def test_geometric_decay(self):
         s = lambda z: 0.5 * z
