@@ -147,9 +147,9 @@ def write_trace_csv(path, trace) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(TRACE_COLUMNS)
-        for row in trace:
+        for n, row in enumerate(trace):
             w.writerow([
-                row.n,
+                n,
                 repr(row.residual),
                 "" if row.objective is None else repr(row.objective),
             ])
@@ -196,20 +196,11 @@ def _out_dir(cp: configparser.ConfigParser,
 
 def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     """Build (cfg, observed, R, clean_or_None) from a config file and
-    the command's ``--seed`` and, where it has one, ``--lambda``."""
-    sol = cp["solver"] if cp.has_section("solver") else {}
-    tau = float(sol.get("tau", 0.2))
-    lam = float(sol.get("lambda", 1.0))
-    seed = int(sol.get("seed", 0))
-    if getattr(overrides, "relaxation", None) is not None:
-        lam = overrides.relaxation
-    if overrides.seed is not None:
-        seed = overrides.seed
-
+    the command's ``--seed`` and, where it has one, ``--lambda``; what
+    none of them sets keeps its ``TVInstance.config`` default."""
     source = cp.get("image", "source", fallback="synthetic")
     if source == "synthetic":
         instance = _instance(cp, overrides)
-        clean, R, observed = instance.observe(seed)
     else:
         pixels, maxval = read_pgm(source)
         n1, n2 = pixels.shape
@@ -220,20 +211,29 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
                     f"image {source!r}"
                 )
         instance = _instance(cp, overrides, n1=n1, n2=n2, peak=float(maxval))
-        R = build_gaussian_blur(n1, n2, instance.blur_size,
-                                instance.blur_std)
+        R = build_gaussian_blur(n1, n2, instance.blur_size, instance.blur_std)
         observed = ImageGrid(pixels, instance.peak)
-        clean = None
 
+    sol = cp["solver"] if cp.has_section("solver") else {}
+    kwargs = {name: kind(sol[key]) for key, name, kind in (
+        ("tau", "tau", float), ("lambda", "relaxation", float),
+        ("seed", "seed", int)) if key in sol}
+    if getattr(overrides, "relaxation", None) is not None:
+        kwargs["relaxation"] = overrides.relaxation
+    if overrides.seed is not None:
+        kwargs["seed"] = overrides.seed
     # explicit sigmas, boundary gammas or, when neither is given, the
     # shared equal sigma; a partial set names its first missing key
-    steps = {
-        name: tuple(float(_option(cp, "solver", key)) for key in keys)
-        for name, keys in (("sigmas", ("sigma1", "sigma2", "sigma3")),
-                           ("gammas", ("gamma1", "gamma2")))
-        if any(key in sol for key in keys)
-    }
-    cfg = instance.config(tau, lam, seed, **steps)
+    for name, keys in (("sigmas", ("sigma1", "sigma2", "sigma3")),
+                       ("gammas", ("gamma1", "gamma2"))):
+        if any(key in sol for key in keys):
+            kwargs[name] = tuple(float(_option(cp, "solver", key))
+                                 for key in keys)
+    cfg = instance.config(**kwargs)
+
+    if source != "synthetic":
+        return cfg, observed, R, None
+    clean, R, observed = instance.observe(cfg.seed)
     return cfg, observed, R, clean
 
 
@@ -282,27 +282,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         if not cp.has_section("sweep"):
             raise ConfigError("missing section [sweep]")
+        # the keys the file sets, then --lambda and --seed
         sw = cp["sweep"]
-        grid = SweepGrid(
-            tau_values=_floats(sw.get("tau_values", "0.2")),
-            gamma1_values=_floats(sw.get("gamma1_values", "0.5 0.6 0.65")),
-            gamma2_values=_floats(sw.get("gamma2_values", "0.001 0.005 0.01")),
-            lambda_values=(
-                (args.relaxation,) if args.relaxation is not None
-                else _floats(sw.get("lambda_values", "1.0 1.5 1.9"))
-            ),
-            include_equal_sigma=sw.getboolean("include_equal_sigma", True),
-        )
-        seeds = ((args.seed,) if args.seed is not None
-                 else _ints(sw.get("seeds", "0")))
-        if not seeds or any(seed < 0 for seed in seeds):
-            raise ConfigError(
-                f"seeds must be a nonempty list of nonnegative integers, "
-                f"got {seeds}"
-            )
+        kwargs = {key: sw.getboolean(key) if key == "include_equal_sigma"
+                  else _ints(sw[key]) if key == "seeds" else _floats(sw[key])
+                  for key in sw}
+        if args.relaxation is not None:
+            kwargs["lambda_values"] = (args.relaxation,)
+        if args.seed is not None:
+            kwargs["seeds"] = (args.seed,)
+        grid = SweepGrid(**kwargs)
         instance = _instance(cp, args)
         # every cell is checked before the output directory exists
-        configs = grid.configs(instance, seeds)
+        configs = grid.configs(instance)
         out_dir = _out_dir(cp, args)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
@@ -328,16 +320,20 @@ def _random_drs_instance(dim: int, rng: np.random.Generator) -> DRSProblem:
 
 
 def cmd_drs_check(args: argparse.Namespace) -> int:
-    for name, low in (("dims", 1), ("iters", 1), ("instances", 0)):
-        if getattr(args, name) < low:
-            print(f"config error: --{name} must be at least {low}",
-                  file=sys.stderr)
+    # the instances are dense dims x dims matrices, each inverted at
+    # cubic cost: 5 took 3.9 s at --dims 1024 on a 2-core host
+    for bad, rule in (
+        (args.dims < 1, "--dims must be at least 1"),
+        (args.iters < 1, "--iters must be at least 1"),
+        (args.instances < 0, "--instances must be at least 0"),
+        (args.dims > DENSE_DIM_LIMIT,
+         f"--dims must be at most {DENSE_DIM_LIMIT}"),
+        (args.instances * args.dims ** 3 > 5 * 1024 ** 3,
+         "--instances * --dims**3 must be at most 5 * 1024**3"),
+    ):
+        if bad:
+            print(f"config error: {rule}", file=sys.stderr)
             return EXIT_CONFIG
-    # the instances are dense dims x dims matrices
-    if args.dims > DENSE_DIM_LIMIT:
-        print(f"config error: --dims must be at most {DENSE_DIM_LIMIT}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.instances):
@@ -384,7 +380,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    cond = step_condition(problem, seed=args.seed or 0)
+    cond = step_condition(problem)
     print(f"step_condition_estimate={cond.norm_sq_estimate:.6f}")
     print(f"critical={str(cond.critical).lower()}")
     if problem.total_dim <= DENSE_DIM_LIMIT:

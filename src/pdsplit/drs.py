@@ -98,12 +98,6 @@ class _Collector(Monitor):
         self.values.append(self.f(z_next))
 
 
-def _aux_point(p: DRSProblem, state: np.ndarray) -> np.ndarray:
-    """z = x - Y u for a flat primal-dual state (x, u)."""
-    n = p.dim
-    return state[:n] - p.upsilon.apply(state[n:])
-
-
 def pd_drs_iterate(
     p: DRSProblem,
     x0: HVector | np.ndarray,
@@ -119,7 +113,8 @@ def pd_drs_iterate(
     auxiliary sequence z_n = x_n - Y u_n, which coincides step by step
     with the classic relaxed iteration started at z_0 = x_0 - Y u_0.
     """
-    collector = _Collector(lambda state: _aux_point(p, state))
+    n = p.dim
+    collector = _Collector(lambda s: s[:n] - p.upsilon.apply(s[n:]))
     z0 = np.concatenate((as_flat(x0), as_flat(u0)))
     result = pd_iterate(as_pd_problem(p), z0, sched, eps, max_iter,
                         monitors=(collector,))

@@ -72,20 +72,19 @@ class RelaxationSchedule:
 
 @dataclass(frozen=True)
 class IterTrace:
-    """Per-iteration record: update index, relative step residual and
-    optional objective value."""
+    """Per-iteration record: relative step residual and optional
+    objective value; row n of ``KMResult.trace`` is update n."""
 
-    n: int
     residual: float
     objective: Optional[float] = None
 
 
 @dataclass
 class KMResult:
-    """Final flat state, per-iteration trace and why the run stopped:
-    ``"eps"`` (the residual met eps), ``"max_iter"`` or ``"nonfinite"``
-    (a step produced a non-finite residual; ``state`` is the last
-    finite iterate)."""
+    """Final flat state, per-iteration trace (row n records update n)
+    and why the run stopped: ``"eps"`` (the residual met eps),
+    ``"max_iter"`` or ``"nonfinite"`` (a step produced a non-finite
+    residual; ``state`` is the last finite iterate)."""
 
     state: np.ndarray
     trace: list[IterTrace] = field(default_factory=list)
@@ -173,7 +172,7 @@ def km_iterate(
         np.subtract(sz, z, out=z_next)
         step = _norm(z_next)
         if not math.isfinite(step):
-            trace.append(IterTrace(n, math.nan))
+            trace.append(IterTrace(math.nan))
             stop = "nonfinite"
             break
         # from z = 0 only an exact fixed point has a finite step
@@ -183,7 +182,7 @@ def km_iterate(
         for m in monitors:
             m.observe(n, z, sz, z_next)
         obj = objective_fn(z_next) if objective_fn is not None else None
-        trace.append(IterTrace(n, r, obj))
+        trace.append(IterTrace(r, obj))
         z, z_next = z_next, z
         nz = _norm(z)
         if eps is not None and lam > 0.0 and r < eps:

@@ -140,21 +140,15 @@ class PDProblem:
         return math.sqrt(max(quad, 0.0))
 
     def metric_matrix(self) -> np.ndarray:
-        """V as a dense matrix in the state layout; desk scale only."""
-        n, total = self.dim, self.total_dim
+        """V as a dense matrix in the state layout, one ``metric``
+        column at a time (V is self-adjoint); desk scale only."""
+        total = self.total_dim
         if total > DENSE_DIM_LIMIT:
             raise ValueError(
                 f"total dimension {total} exceeds dense limit "
                 f"{DENSE_DIM_LIMIT}"
             )
-        mat = np.zeros((total, total))
-        mat[:n, :n] = self.upsilon.inverse().as_matrix()
-        for (_, l), s, sl in zip(self.blocks, self.sigmas, self.dual_slices):
-            lm = l.as_matrix()
-            mat[:n, sl] = -lm.T
-            mat[sl, :n] = -lm
-            mat[sl, sl] = s.inverse().as_matrix()
-        return mat
+        return LinOp(self.metric, self.metric, total, total).as_matrix()
 
     def initial_state(self, x0=None) -> np.ndarray:
         """Flat state with primal block ``x0`` (an array or an HVector;
@@ -209,7 +203,7 @@ class StepCondition:
     critical: bool
 
 
-def step_condition(p: PDProblem, seed: int = 0) -> StepCondition:
+def step_condition(p: PDProblem) -> StepCondition:
     """Estimate the step-size condition sum_i ||sqrt(S_i) L_i sqrt(Y)||^2
     by power iteration to a relative tolerance of 1e-8.
 
@@ -231,7 +225,7 @@ def step_condition(p: PDProblem, seed: int = 0) -> StepCondition:
             return root.apply(w, out=out)
 
         op = LinOp(fwd, fwd, n, n)
-        est += power_iteration_sqnorm(op, tol=1e-8, seed=seed)
+        est += power_iteration_sqnorm(op, tol=1e-8)
     return StepCondition(
         norm_sq_estimate=est, critical=abs(est - 1.0) <= COND_TOL
     )

@@ -50,6 +50,13 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
+# a solve holds about 264 bytes per pixel (measured between 512 x 512
+# and 1024 x 1024), so a grid of MAX_PIXELS takes about 1.1 GB
+MAX_PIXELS = 2 ** 22
+# the largest peak * (1 + noise_std_rel): the data fit and psnr square
+# pixel values and sum them over up to MAX_PIXELS pixels
+MAX_SCALE = 1e100
+
 
 @dataclass(frozen=True)
 class ImageGrid:
@@ -151,7 +158,9 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     if not std > 0:
         raise ValueError("std must be positive")
     x = np.arange(size, dtype=np.float64) - size // 2
-    k1 = np.exp(-0.5 * (x / std) ** 2)
+    # a tiny std overflows the square, and exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        k1 = np.exp(-0.5 * (x / std) ** 2)
     k2 = np.outer(k1, k1)
     return k2 / k2.sum()
 
@@ -421,9 +430,11 @@ class TVInstance:
 
     def __post_init__(self):
         # comparisons written so that NaN fails them
-        if min(self.n1, self.n2) < 2:
+        if not (min(self.n1, self.n2) >= 2
+                and self.n1 * self.n2 <= MAX_PIXELS):
             raise ValueError(
-                f"grid must be at least 2 x 2, got {self.n1} x {self.n2}"
+                f"grid must be at least 2 x 2 and at most {MAX_PIXELS} "
+                f"pixels, got {self.n1} x {self.n2}"
             )
         if not (self.blur_size % 2 == 1
                 and 1 <= self.blur_size <= min(self.n1, self.n2)):
@@ -438,6 +449,10 @@ class TVInstance:
         if not 0 <= self.noise_std_rel < math.inf:
             raise ValueError(f"noise level {self.noise_std_rel} must be "
                              "nonnegative and finite")
+        scale = self.peak * (1.0 + self.noise_std_rel)
+        if not scale <= MAX_SCALE:
+            raise ValueError(f"peak * (1 + noise level) = {scale:g} must be "
+                             f"at most {MAX_SCALE:g}")
 
     def observe(self, seed: int) -> tuple[ImageGrid, LinOp, ImageGrid]:
         """(clean, R, observed): the synthetic image, its blur operator
@@ -452,9 +467,9 @@ class TVInstance:
 
     def config(
         self,
-        tau: float,
-        relaxation: float,
-        seed: int,
+        tau: float = 0.2,
+        relaxation: float = 1.0,
+        seed: int = 0,
         gammas: tuple[float, float] | None = None,
         sigmas: tuple[float, float, float] | None = None,
     ) -> TVConfig:
@@ -528,26 +543,29 @@ class TVConfig:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cells of the step-size study: every (tau, gamma1, gamma2)
-    triple on the critical boundary, plus one equal-sigma cell per tau
-    when ``include_equal_sigma`` is set.  Its values are checked where
-    ``configs`` builds each cell."""
+    """Cells of the step-size study, each for every seed: every (tau,
+    gamma1, gamma2) triple on the critical boundary, plus one
+    equal-sigma cell per tau when ``include_equal_sigma`` is set.  The
+    defaults are the default grid; ``configs`` checks each cell."""
 
-    tau_values: tuple[float, ...]
-    gamma1_values: tuple[float, ...]
-    gamma2_values: tuple[float, ...]
-    lambda_values: tuple[float, ...]
+    tau_values: tuple[float, ...] = (0.2,)
+    gamma1_values: tuple[float, ...] = (0.5, 0.6, 0.65)
+    gamma2_values: tuple[float, ...] = (0.001, 0.005, 0.01)
+    lambda_values: tuple[float, ...] = (1.0, 1.5, 1.9)
+    seeds: tuple[int, ...] = (0,)
     include_equal_sigma: bool = True
 
     def __post_init__(self):
         if not (self.tau_values and self.lambda_values):
             raise ValueError("tau_values and lambda_values must be nonempty")
+        if not self.seeds or any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of nonnegative "
+                             f"integers, got {self.seeds}")
         if not (self.include_equal_sigma
                 or (self.gamma1_values and self.gamma2_values)):
             raise ValueError("the sweep grid has no cells")
 
-    def configs(self, instance: TVInstance,
-                seeds: Sequence[int]) -> list[TVConfig]:
+    def configs(self, instance: TVInstance) -> list[TVConfig]:
         """One ``TVConfig`` per (cell, seed) on ``instance``, in
         cell-major order: per tau, every gamma pair and then the
         equal-sigma cell, each for every lambda and then every seed."""
@@ -559,7 +577,7 @@ class SweepGrid:
             for tau in self.tau_values
             for gammas in steps
             for lam in self.lambda_values
-            for seed in seeds
+            for seed in self.seeds
         ]
 
 
@@ -571,8 +589,8 @@ SWEEP_COLUMNS = (
 
 
 def _run_cell(cfg, observed, R, clean):
-    """One sweep row; a cell that raises gives a NaN row whose
-    ``error`` holds the exception class and message."""
+    """One sweep row; a cell that raises keeps the default NaN row and
+    its ``error`` holds the exception class and message."""
     row = {
         "tau": cfg.tau,
         "sigma1": cfg.sigma1,
@@ -580,6 +598,12 @@ def _run_cell(cfg, observed, R, clean):
         "sigma3": cfg.sigma3,
         "lambda": cfg.relaxation,
         "seed": cfg.seed,
+        "iterations": 0,
+        "converged": False,
+        "final_residual": math.nan,
+        "objective": math.nan,
+        "psnr": math.nan,
+        "error": "",
     }
     t0 = time.perf_counter()
     try:
@@ -591,18 +615,10 @@ def _run_cell(cfg, observed, R, clean):
             final_residual=run.final_residual,
             objective=tv_objective(run.image, run.fit, cfg.alpha),
             psnr=psnr(run.image, clean),
-            error="",
         )
     except Exception as exc:  # one failed cell must not end the sweep
-        row.update(
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            iterations=0,
-            converged=False,
-            final_residual=math.nan,
-            objective=math.nan,
-            psnr=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        row["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 

@@ -262,7 +262,6 @@ def test_criterion_04_critical_scalar_convergence():
 
 def test_criterion_05_fejer_monotonicity(monitored_run, anchor):
     fm, _, run, elapsed = monitored_run
-    elapsed += anchor.trace[-1].n * 0.0  # anchor already timed in
     d0 = fm.values[0]
     assert d0 > 0
     assert fm.max_single_step_increase <= 1e-9 * d0
@@ -320,7 +319,8 @@ def test_criterion_08_distinct_sigma_trend(tv_instance):
         lambda_values=(1.9,),
         include_equal_sigma=True,
     )
-    rows = sweep(grid.configs(instance, (0,)), instance)
+    rows = sweep(dataclasses.replace(grid, seeds=(0,)).configs(instance),
+                 instance)
     assert all(r["converged"] for r in rows)
 
     def is_equal_sigma(r):

@@ -121,6 +121,23 @@ class TestSolveTV:
         assert "iterations=1 converged=True residual=0.000e+00" in out
         assert out.rstrip().endswith("stop=eps")
 
+    def test_vanishing_blur_std_runs_without_warnings(self, tmp_path,
+                                                      capsys):
+        # the kernel's square overflows at std = 1e-300; exp(-inf) = 0
+        # leaves the identity blur, and a run that succeeds writes
+        # nothing to stderr
+        import warnings
+
+        text = SOLVE_CONFIG.replace("[solver]",
+                                    "[blur]\nstd = 1e-300\n\n[solver]")
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "o"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve-tv", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_run_exit_2(self, tmp_path, capsys, monkeypatch):
         import numpy as np
@@ -289,6 +306,24 @@ class TestSolveTV:
         # dense dims x dims instances; rejected before any is built
         pytest.param("drs-check", ["--dims", "100000"],
                      id="drs-check-dims-dense"),
+        # a grid no machine can allocate, rejected before any allocation
+        pytest.param("solve-tv", {"n1 = 32\nn2 = 32": "n1 = 1000000\n"
+                                  "n2 = 1000000"}, id="solve-tv-grid-huge"),
+        pytest.param("sweep", {"n1 = 16\n": "n1 = 99999999999999999999\n"},
+                     id="sweep-grid-huge"),
+        # values whose squares overflow
+        pytest.param("sweep", {"peak = 1.0": "peak = 1e308"},
+                     id="sweep-peak-1e308"),
+        pytest.param("sweep", {"[sweep]": "[noise]\nstd_rel = 1e308\n\n"
+                               "[sweep]"}, id="sweep-noise-1e308"),
+        pytest.param("solve-tv", {"peak = 1.0": "peak = 1e160"},
+                     id="solve-tv-peak-1e160"),
+        pytest.param("solve-tv", {"[solver]": "[noise]\nstd_rel = 1e300\n\n"
+                                  "[solver]"}, id="solve-tv-noise-1e300"),
+        # drs-check work grows as instances * dims**3
+        pytest.param("drs-check", ["--dims", "2048"], id="drs-check-dims-2048"),
+        pytest.param("drs-check", ["--dims", "1024", "--instances", "6"],
+                     id="drs-check-work"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
                                          extra):
@@ -310,6 +345,7 @@ class TestSolveTV:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not (tmp_path / "o").exists()
 
     # a config without a section or key the command needs names it
     @pytest.mark.parametrize("command,edits,name", [

@@ -5,6 +5,7 @@ import pytest
 
 from pdsplit import (
     HVector,
+    PDProblem,
     PowerIterationError,
     UnsupportedPreconditionerError,
     box_operator,
@@ -17,6 +18,7 @@ from pdsplit import (
     matrix_precond,
     power_iteration_sqnorm,
     scalar_precond,
+    zero_operator,
 )
 from pdsplit.linalg import DENSE_DIM_LIMIT
 from pdsplit.tv import build_gaussian_blur, build_gradient_ops
@@ -267,6 +269,33 @@ class TestSaddleOperator:
             for _ in range(1000):
                 z = random_state(rng, p)
                 assert z @ p.metric(z) >= -1e-10 * (z @ z)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: scalar_precond(0.7, n),
+        lambda n: diagonal_precond(np.linspace(0.5, 1.5, n)),
+        lambda n: matrix_precond(np.diag(np.linspace(0.5, 1.5, n))
+                                 + 0.1 * np.ones((n, n))),
+    ], ids=["scalar", "diagonal", "dense"])
+    def test_metric_matrix_is_the_block_matrix(self, make, rng):
+        # metric_matrix, built from V's action, against the blocks
+        # [[Y^-1, -L^T], [-L, S^-1]] assembled from as_matrix
+        n = 5
+        p = PDProblem(
+            A=zero_operator(),
+            blocks=((zero_operator(), matrix_op(rng.standard_normal((3, n)))),
+                    (zero_operator(), identity_op(n))),
+            upsilon=make(n),
+            sigmas=(scalar_precond(0.4, 3),
+                    diagonal_precond(np.linspace(0.2, 0.6, n))),
+        )
+        want = np.zeros((p.total_dim, p.total_dim))
+        want[:n, :n] = p.upsilon.inverse().as_matrix()
+        for (_, l), s, sl in zip(p.blocks, p.sigmas, p.dual_slices):
+            lm = l.as_matrix()
+            want[:n, sl] = -lm.T
+            want[sl, :n] = -lm
+            want[sl, sl] = s.inverse().as_matrix()
+        np.testing.assert_array_equal(p.metric_matrix(), want)
 
     def test_dimension_mismatch(self, rng):
         p = identity_saddle(3)

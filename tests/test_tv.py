@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -332,20 +333,38 @@ class TestSweep:
         from pdsplit.tv import SWEEP_COLUMNS
 
         grid, inst = self._tiny()
-        rows = sweep(grid.configs(inst, (0, 1)), inst)
+        grid = dataclasses.replace(grid, seeds=(0, 1))
+        rows = sweep(grid.configs(inst), inst)
         assert len(rows) == 4  # (1 gamma cell + equal-sigma) x 2 seeds
         for row in rows:
             assert set(row) == set(SWEEP_COLUMNS)
             assert row["converged"]
-        rows2 = sweep(grid.configs(inst, (0, 1)), inst)
+        rows2 = sweep(grid.configs(inst), inst)
         for a, b in zip(rows, rows2):
             for key in a:
                 if key != "wall_ms":
                     assert a[key] == b[key]
 
+    def test_default_grid_is_the_old_command_line_default(self):
+        # the grid the sweep command built from its own default strings
+        from pdsplit.cli import _floats
+
+        _, inst = self._tiny()
+        old = SweepGrid(_floats("0.2"), _floats("0.5 0.6 0.65"),
+                        _floats("0.001 0.005 0.01"), _floats("1.0 1.5 1.9"),
+                        seeds=(0,), include_equal_sigma=True)
+        configs = SweepGrid().configs(inst)
+        assert len(configs) == 30
+        assert configs == old.configs(inst)
+
+    @pytest.mark.parametrize("seeds", [(), (-1,), (0, -1)])
+    def test_seeds_must_be_nonempty_and_nonnegative(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            SweepGrid(seeds=seeds)
+
     def test_cells_satisfy_boundary(self):
         grid, inst = self._tiny()
-        rows = sweep(grid.configs(inst, (0,)), inst)
+        rows = sweep(dataclasses.replace(grid, seeds=(0,)).configs(inst), inst)
         d = gradient_norm_sq(16)
         for row in rows:
             val = row["tau"] * (row["sigma1"] * d + row["sigma2"] * d
@@ -366,7 +385,7 @@ class TestSweep:
         grid = SweepGrid(grid.tau_values, grid.gamma1_values,
                          grid.gamma2_values, grid.lambda_values,
                          include_equal_sigma=False)
-        rows = sweep(grid.configs(inst, (7,)), inst)
+        rows = sweep(dataclasses.replace(grid, seeds=(7,)).configs(inst), inst)
         assert len(rows) == 1
         row = rows[0]
         clean, R, observed = None, None, None
@@ -392,7 +411,7 @@ class TestSweep:
         # max_iter=1 cannot converge; row must report the failure
         grid, _ = self._tiny()
         inst = TVInstance(n1=16, n2=16, peak=1.0, eps=1e-12, max_iter=1)
-        rows = sweep(grid.configs(inst, (0,)), inst)
+        rows = sweep(dataclasses.replace(grid, seeds=(0,)).configs(inst), inst)
         assert all(not r["converged"] for r in rows)
         assert all(r["error"] == "" for r in rows)
         # a cell that raises gives a NaN row naming the exception
@@ -402,7 +421,7 @@ class TestSweep:
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(tv_mod, "run_tv_solver", boom)
-        rows = sweep(grid.configs(inst, (0,)), inst)
+        rows = sweep(dataclasses.replace(grid, seeds=(0,)).configs(inst), inst)
         assert len(rows) == 2
         for r in rows:
             assert r["error"] == "RuntimeError: solver exploded"
