@@ -190,8 +190,12 @@ def _instance(cp: configparser.ConfigParser, overrides: argparse.Namespace,
 
 def _out_dir(cp: configparser.ConfigParser,
              args: argparse.Namespace) -> Path:
-    return Path(args.out_dir
-                or cp.get("output", "out_dir", fallback="runs"))
+    """``--out-dir``, else ``[output] out_dir``, else ``runs``; created."""
+    out = args.out_dir or cp.get("output", "out_dir", fallback="runs")
+    if not out:
+        raise ConfigError("[output] out_dir is empty")
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
 
 
 def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
@@ -218,10 +222,9 @@ def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     kwargs = {name: kind(sol[key]) for key, name, kind in (
         ("tau", "tau", float), ("lambda", "relaxation", float),
         ("seed", "seed", int)) if key in sol}
-    if getattr(overrides, "relaxation", None) is not None:
-        kwargs["relaxation"] = overrides.relaxation
-    if overrides.seed is not None:
-        kwargs["seed"] = overrides.seed
+    for name in ("relaxation", "seed"):
+        if getattr(overrides, name, None) is not None:
+            kwargs[name] = getattr(overrides, name)
     # explicit sigmas, boundary gammas or, when neither is given, the
     # shared equal sigma; a partial set names its first missing key
     for name, keys in (("sigmas", ("sigma1", "sigma2", "sigma3")),
@@ -242,7 +245,6 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         cp = _load_config(args.config)
         cfg, observed, R, clean = _tv_setup(cp, args)
         out_dir = _out_dir(cp, args)
-        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -296,7 +298,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # every cell is checked before the output directory exists
         configs = grid.configs(instance)
         out_dir = _out_dir(cp, args)
-        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

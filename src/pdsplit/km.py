@@ -2,17 +2,17 @@
 
 Runs z_{n+1} = z_n + lambda_n (S z_n - z_n) on one flat float64 state;
 for a primal-dual map that state is ``x | u_1 | ... | u_m`` in the
-problem's layout.  A start point may be an array or an HVector, and the
-final state is always a flat array.  Non-convergence and non-finite
-steps are reported as data, not raised, so parameter sweeps can record
-failures.  ``Monitor`` is the generic per-iteration observer; the
-V-seminorm monitors of a primal-dual problem live in ``primal_dual``.
+problem's layout.  Convergence is reported only once the KM condition's
+running sum of lambda_n (2 - lambda_n) reaches 1.  Non-convergence and
+non-finite steps are reported as data, not raised, so parameter sweeps
+can record failures.  ``Monitor`` is the generic per-iteration
+observer; the V-seminorm monitors of a primal-dual problem live in
+``primal_dual``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,8 +28,7 @@ __all__ = [
     "km_iterate",
 ]
 
-# km_iterate warns when sum(lambda_n (2 - lambda_n)) over the run stays
-# below this
+# convergence needs the KM sum of lambda_n (2 - lambda_n) to reach this
 DIVERGENCE_FLOOR = 1.0
 
 
@@ -60,14 +59,6 @@ class RelaxationSchedule:
     def lambda_at(self, n: int) -> float:
         vals = self.values
         return vals[n] if n < len(vals) else vals[-1]
-
-    def divergence_surrogate(self, n_terms: int) -> float:
-        """Partial sum of lambda_n (2 - lambda_n) over n < n_terms, the
-        divergence surrogate guaranteeing asymptotic regularity."""
-        head = self.values[:n_terms]
-        last = self.values[-1]
-        tail = max(n_terms - len(head), 0)
-        return sum(v * (2.0 - v) for v in head) + tail * last * (2.0 - last)
 
 
 @dataclass(frozen=True)
@@ -133,41 +124,38 @@ def km_iterate(
     objective_fn: Callable[[np.ndarray], float] | None = None,
 ) -> KMResult:
     """Relaxed fixed-point iteration until the relative step
-    lambda_n ||S z_n - z_n|| / ||z_n|| drops below eps.
+    lambda_n ||S z_n - z_n|| / ||z_n|| drops below eps, once the sum of
+    lambda_n (2 - lambda_n) over the steps taken reaches 1.
 
-    ``s_map`` is the self-map S on flat float64 arrays; ``z0`` is a
-    1-D array or an HVector, and the result's ``state`` is a flat
-    array.  Monitors and ``objective_fn`` see flat arrays.  A
-    step with lambda_n = 0 never meets ``eps``: its relaxed step is zero
-    whatever S z_n - z_n is.  At z_n = 0 the relative step is 0 when
+    ``s_map`` is the self-map S on flat float64 arrays; ``z0`` is a 1-D
+    array or an HVector, and the result's ``state`` is a flat array.
+    Monitors and ``objective_fn`` see flat arrays.  That sum is the KM
+    condition's: lambda = 0, lambda = 2 and tiny lambda keep it below 1
+    and run to ``max_iter``.  At z_n = 0 the relative step is 0 when
     S z_n = z_n exactly and infinite otherwise.  ``eps=None`` disables
     the stopping rule and runs exactly ``max_iter`` steps (used by
     sequence-equivalence checks).  Stopping at ``max_iter`` without
     meeting ``eps`` is reported, not raised; so is a non-finite
-    S z_n - z_n, which ends the run at the last finite iterate.  Bit-deterministic for
-    identical inputs and schedule.
+    S z_n - z_n, which ends the run at the last finite iterate.
+    Bit-deterministic for identical inputs and schedule.
     """
     if eps is not None and not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite (or None for "
                          "fixed-count runs)")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if sched.divergence_surrogate(max_iter) < DIVERGENCE_FLOOR:
-        warnings.warn(
-            "relaxation schedule has a small divergence surrogate "
-            "sum(lambda_n (2 - lambda_n)); convergence may stall",
-            stacklevel=2,
-        )
     z = np.array(as_flat(z0), dtype=np.float64)
     z_next = np.empty_like(z)
     for m in monitors:
         m.start(z)
     trace: list[IterTrace] = []
     stop = "max_iter"
+    surrogate = 0.0
     nz = _norm(z)
     for n in range(max_iter):
         sz = s_map(z)
         lam = sched.lambda_at(n)
+        surrogate += lam * (2.0 - lam)
         # z_next holds S z - z until it is relaxed in place
         np.subtract(sz, z, out=z_next)
         step = _norm(z_next)
@@ -185,7 +173,7 @@ def km_iterate(
         trace.append(IterTrace(r, obj))
         z, z_next = z_next, z
         nz = _norm(z)
-        if eps is not None and lam > 0.0 and r < eps:
+        if eps is not None and surrogate >= DIVERGENCE_FLOOR and r < eps:
             stop = "eps"
             break
     return KMResult(state=z, trace=trace, stop_reason=stop)

@@ -504,8 +504,8 @@ class TVConfig:
 
     It checks its own values: eps positive and finite, max_iter at
     least 1, alpha nonnegative and finite, relaxation in [0, 2] and
-    positive step sizes.  The boundary condition
-    tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3)
+    step sizes of at least the smallest normal float.  The boundary
+    condition tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3)
     <= 1 + primal_dual.COND_TOL depends on the grid, so
     ``build_problem`` and ``TVInstance.config`` enforce it.
     """
@@ -537,8 +537,10 @@ class TVConfig:
         if not 0.0 <= self.relaxation <= 2.0:
             raise ValueError(f"relaxation {self.relaxation} outside [0, 2]")
         steps = (self.tau, self.sigma1, self.sigma2, self.sigma3)
-        if not all(s > 0 for s in steps):
-            raise ValueError(f"step sizes must be positive, got {steps}")
+        # a subnormal step has an infinite inverse in the metric V
+        if not all(s >= np.finfo(float).tiny for s in steps):
+            raise ValueError(f"step sizes must be positive normal floats, "
+                             f"got {steps}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from pdsplit.cli import main
+from pdsplit.cli import _FORMATS, main
 from pdsplit.pgm import read_pgm
 
 SOLVE_CONFIG = """
@@ -83,7 +87,6 @@ class TestSolveTV:
         pixels, maxval = read_pgm(out / "restored.pgm")
         assert pixels.shape == (32, 32)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_truncated_run_exit_2(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, SOLVE_CONFIG, out=str(out))
@@ -94,7 +97,6 @@ class TestSolveTV:
             rows = list(csv.reader(f))
         assert len(rows) == 6  # header + 5 iterations
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_zero_relaxation_never_converges(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SOLVE_CONFIG, out=str(tmp_path / "o"))
         rc = main(["solve-tv", "--config", cfg, "--lambda", "0",
@@ -103,6 +105,40 @@ class TestSolveTV:
         out = capsys.readouterr().out
         assert "iterations=5 converged=False" in out
         assert out.rstrip().endswith("stop=max_iter")
+
+    @pytest.mark.parametrize("lam", ["0", "2", "1e-12"])
+    def test_relaxation_that_keeps_the_km_sum_below_one(self, tmp_path,
+                                                        capsys, lam):
+        # sum(lambda (2 - lambda)) stays below 1 over the run, so its
+        # tiny relaxed steps certify nothing: the run ends at max_iter
+        text = SOLVE_CONFIG.replace("n1 = 32\nn2 = 32", "n1 = 16\nn2 = 16")
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "o"))
+        rc = main(["solve-tv", "--config", cfg, "--lambda", lam,
+                   "--eps", "1e-8", "--max-iter", "50"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ""
+        assert "iterations=50 converged=False" in captured.out
+        assert captured.out.rstrip().endswith("stop=max_iter")
+
+    def test_seed_option_runs_the_file_seed(self, tmp_path, capsys):
+        # --seed 5 runs what [solver] seed = 5 runs, also over a file
+        # that sets another seed
+        def run(name, text, *extra):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, text, name=f"{name}.ini",
+                               out=str(out))
+            rc = main(["solve-tv", "--config", cfg, "--max-iter", "40",
+                       *extra])
+            return (rc, capsys.readouterr(), (out / "trace.csv").read_bytes(),
+                    (out / "restored.pgm").read_bytes())
+
+        file5 = run("file5", SOLVE_CONFIG.replace("seed = 3", "seed = 5"))
+        assert run("unset", SOLVE_CONFIG.replace("seed = 3\n", ""),
+                   "--seed", "5") == file5
+        assert run("over", SOLVE_CONFIG, "--seed", "5") == file5
+        # the seed reaches the output: seed 3 gives another noise
+        assert run("file3", SOLVE_CONFIG) != file5
 
     def test_black_image_is_a_fixed_point(self, tmp_path, capsys):
         # the zero start is an exact fixed point: S z = z = 0
@@ -324,9 +360,15 @@ class TestSolveTV:
         pytest.param("drs-check", ["--dims", "2048"], id="drs-check-dims-2048"),
         pytest.param("drs-check", ["--dims", "1024", "--instances", "6"],
                      id="drs-check-work"),
+        # an empty output directory would be the working directory
+        pytest.param("solve-tv", {"out_dir = {out}": "out_dir ="},
+                     id="solve-tv-out-dir-empty"),
+        pytest.param("sweep", {"out_dir = {out}": "out_dir ="},
+                     id="sweep-out-dir-empty"),
     ])
-    def test_bad_setting_is_config_error(self, tmp_path, capsys, command,
-                                         extra):
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                         command, extra):
+        monkeypatch.chdir(tmp_path)
         argv = [command]
         if command != "drs-check":
             text = SWEEP_CONFIG if command == "sweep" else SOLVE_CONFIG
@@ -346,6 +388,8 @@ class TestSolveTV:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not (tmp_path / "o").exists()
+        for name in ("trace.csv", "restored.pgm", "sweep.csv"):
+            assert not (tmp_path / name).exists()
 
     # a config without a section or key the command needs names it
     @pytest.mark.parametrize("command,edits,name", [
@@ -465,7 +509,6 @@ class TestOutput:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("fmt", ["P2", "p2", "P5", "p5"])
     def test_format_names_the_pgm_encoding(self, tmp_path, fmt):
         out = tmp_path / "out"
@@ -519,7 +562,6 @@ max_iter = 3
                                   seed=None)
         return cfg, lambda: _tv_setup(_load_config(cfg), none)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_gamma_steps_sit_on_the_boundary_of_a_128_image(self, tmp_path):
         from pdsplit import gradient_norm_sq
 
@@ -570,7 +612,6 @@ class TestSweepCommand:
         assert all(r[7] == "true" for r in rows[1:])
         assert all(r[12] == "" for r in rows[1:])
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_lambda_and_seed_options_replace_the_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, SWEEP_CONFIG, out=str(out))
@@ -582,7 +623,6 @@ class TestSweepCommand:
         assert all(r["lambda"] == "0.5" and r["seed"] == "7" for r in rows)
         assert all(r["iterations"] == "3" for r in rows)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_solver_tau_and_lambda_are_accepted(self, tmp_path):
         # solve-tv configs reused for a sweep carry [solver] tau and
         # lambda; the grid comes from [sweep], so the rows do not use them
@@ -704,3 +744,79 @@ gamma2 = 0.01
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {flag} {value}" in err
+
+
+# one key of an 8 x 8 TV config with a 3 x 3 blur and 50 iterations
+# takes an adversarial value
+ADVERSARIAL_VALUES = ("NaN", "inf", "-inf", "0", "-0", "1e308", "-1e308",
+                      "1e-320", "12345678901234567890", "", "abc", "é")
+SMALL_TV = {
+    "image": {"n1": "8", "n2": "8", "peak": "1.0"},
+    "blur": {"size": "3"},
+    "solver": {"tau": "0.4", "gamma1": "0.6", "gamma2": "0.01",
+               "alpha": "0.01", "lambda": "1.9", "eps": "1e-4",
+               "max_iter": "50"},
+    "sweep": {"tau_values": "0.4", "gamma1_values": "0.6",
+              "gamma2_values": "0.01", "lambda_values": "1.9",
+              "seeds": "0", "include_equal_sigma": "false"},
+}
+TV_KEYS = [(section, key) for section, keys in _FORMATS["tv"].items()
+           for key in keys]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["solve-tv", "sweep", "diagnose"]),
+       where=st.sampled_from(TV_KEYS),
+       value=st.sampled_from(ADVERSARIAL_VALUES))
+@example(command="solve-tv", where=("solver", "lambda"), value="1e-320")
+@example(command="sweep", where=("sweep", "lambda_values"), value="1e-320")
+@example(command="solve-tv", where=("output", "out_dir"), value="")
+@example(command="sweep", where=("output", "out_dir"), value="")
+@example(command="diagnose", where=("solver", "sigma1"), value="1e-320")
+@example(command="diagnose", where=("solver", "gamma2"), value="1e-320")
+def test_adversarial_value_gives_an_exit_code_not_a_traceback(
+        tmp_path, capsys, monkeypatch, command, where, value):
+    section, key = where
+    sections = {name: dict(keys) for name, keys in SMALL_TV.items()}
+    if key.startswith("sigma"):
+        # explicit sigmas replace the gammas
+        del sections["solver"]["gamma1"], sections["solver"]["gamma2"]
+        sections["solver"].update(sigma1="0.1", sigma2="0.1", sigma3="0.1")
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    sections["output"] = {"out_dir": str(run_dir / "out")}
+    sections.setdefault(section, {})[key] = value
+    cfg = run_dir / "run.ini"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()), encoding="utf-8")
+    cwd = run_dir / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+
+    rc = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+    else:
+        assert captured.err == ""
+    # only a relative out_dir makes anything here, and only a directory
+    made = list(cwd.iterdir())
+    assert all(p.is_dir() for p in made)
+    assert not made or key == "out_dir"
+    if rc == 1 or command == "diagnose":
+        return
+    out = cwd / value if key == "out_dir" else run_dir / "out"
+    eps = float(sections["solver"]["eps"])
+    if command == "solve-tv":
+        with open(out / "trace.csv") as f:
+            rows = list(csv.reader(f))
+        if "converged=True" in captured.out:
+            assert float(rows[-1][1]) < eps
+    else:
+        with open(out / "sweep.csv") as f:
+            for row in csv.DictReader(f):
+                if row["converged"] == "true":
+                    assert float(row["final_residual"]) < eps

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,16 @@ class TestFixedPointTransport:
             z = run.z_sequence[-1]
             drift = np.linalg.norm(drs_operator(p, z) - z)
             assert drift <= 1e-9 * (1.0 + np.linalg.norm(z))
+
+
+def test_equivalence_deviation_of_a_run_that_ends_early_is_infinite():
+    # x0 - Y u0 = 0, so the classic run stays finite, while the
+    # primal-dual run overflows at its first step
+    p = DRSProblem(A=monotone_linear(1.0, 0.0), B=monotone_linear(1.0, 0.0),
+                   upsilon=scalar_precond(1.0, 1))
+    sched = RelaxationSchedule.constant(1.0)
+    big = np.array([1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert pd_drs_iterate(p, big, big, sched, None, 5).stop_reason \
+            == "nonfinite"
+        assert equivalence_deviation(p, big, big, sched, 5) == math.inf

@@ -49,26 +49,6 @@ class TestRelaxationSchedule:
         assert RelaxationSchedule.constant(1) \
             == RelaxationSchedule.from_sequence([1.0])
 
-    def test_divergence_surrogate(self):
-        s = RelaxationSchedule.constant(1.0)
-        assert s.divergence_surrogate(10) == pytest.approx(10.0)
-        s2 = RelaxationSchedule.constant(2.0)
-        assert s2.divergence_surrogate(10) == 0.0
-
-    @pytest.mark.parametrize("n_terms", [0, 2, 4, 5, 11])
-    def test_divergence_surrogate_is_the_termwise_sum(self, n_terms):
-        s = RelaxationSchedule.from_sequence([0.3, 1.9, 1.0, 0.0, 1.2])
-        termwise = sum(s.lambda_at(n) * (2.0 - s.lambda_at(n))
-                       for n in range(n_terms))
-        assert s.divergence_surrogate(n_terms) \
-            == pytest.approx(termwise, rel=1e-15, abs=0.0)
-
-    def test_degenerate_schedule_warns(self):
-        s = RelaxationSchedule.constant(2.0)
-        z0 = hvector([1.0])
-        with pytest.warns(UserWarning):
-            km_iterate(lambda z: z, z0, s, 1e-8, 5)
-
 
 class TestKMIterate:
     def test_constant_map_one_step(self):
@@ -160,7 +140,6 @@ class TestKMIterate:
         assert [t.residual for t in r1.trace] \
             == [t.residual for t in r2.trace]
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_zero_relaxation_never_converges(self):
         # lambda = 0 leaves z unchanged: the step is zero, not converged
         res = km_iterate(lambda z: 0.5 * z, hvector([2.0]),
@@ -168,6 +147,24 @@ class TestKMIterate:
         assert not res.converged
         assert res.iterations == 7
         assert all(t.residual == 0.0 for t in res.trace)
+
+    # the identity map has a zero step from the start: the run stops
+    # once sum(lambda_n (2 - lambda_n)) over the steps taken reaches 1
+    @pytest.mark.parametrize("values,stop_at", [
+        pytest.param([1.0], 1, id="lambda-1"),
+        pytest.param([1.9], 6, id="lambda-1.9"),
+        pytest.param([0.0, 0.0, 1.0], 3, id="zeros-then-1"),
+        pytest.param([1e-12], None, id="lambda-1e-12"),
+        pytest.param([2.0], None, id="lambda-2"),
+    ])
+    def test_stops_once_the_km_sum_reaches_one(self, values, stop_at):
+        res = km_iterate(lambda z: z, np.ones(2),
+                         RelaxationSchedule.from_sequence(values), 1e-8, 20)
+        assert all(t.residual == 0.0 for t in res.trace)
+        if stop_at is None:
+            assert res.stop_reason == "max_iter" and res.iterations == 20
+        else:
+            assert res.stop_reason == "eps" and res.iterations == stop_at
 
     def test_rejects_bad_eps(self):
         s = lambda z: z
@@ -240,3 +237,16 @@ class TestMonitors:
                          monitors=(mon,))
         assert res.converged
         assert mon.ratio < 1e-4
+
+
+# every input check of km_iterate, by the exception and a fragment of
+# its message
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: km_iterate(lambda z: z, np.ones(1),
+                                    RelaxationSchedule.constant(1.0), 1e-8, 0),
+                 ValueError, "max_iter must be at least 1", id="max-iter-0"),
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)

@@ -420,3 +420,28 @@ class TestGradientNorm:
             exact = float(np.linalg.svd(op.as_matrix(),
                                         compute_uv=False)[0] ** 2)
             assert est == pytest.approx(exact, rel=1e-6)
+
+
+# every input check of linalg, by the exception and a fragment of its
+# message
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: matrix_op(np.ones(3)), ValueError, "2-D array",
+                 id="matrix-op-1d"),
+    pytest.param(lambda: matrix_precond(np.ones((2, 3))), ValueError,
+                 "must be square", id="matrix-precond-not-square"),
+    pytest.param(lambda: matrix_precond([[1.0, 2.0], [0.0, 1.0]]),
+                 ValueError, "must be symmetric",
+                 id="matrix-precond-not-symmetric"),
+    pytest.param(lambda: matrix_precond([[1.0, 0.0], [0.0, -1.0]]),
+                 ValueError, "positive definite",
+                 id="matrix-precond-indefinite"),
+    pytest.param(lambda: power_iteration_sqnorm(matrix_op(np.ones((2, 3)))),
+                 ValueError, "must be square", id="power-iteration-not-square"),
+    pytest.param(lambda: dense_range_diagnostics(np.ones((2, 3))),
+                 ValueError, "matrix must be square",
+                 id="range-diagnostics-not-square"),
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)

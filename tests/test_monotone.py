@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
+    LinOp,
     QuadraticDataFit,
     UnsupportedPreconditionerError,
     box_operator,
+    data_fit_operator,
     diagonal_precond,
     dual_resolvent,
     hvector,
@@ -22,6 +24,7 @@ from pdsplit import (
     scalar_precond,
     zero_operator,
 )
+from pdsplit.linalg import DENSE_DIM_LIMIT
 from pdsplit.tv import build_gaussian_blur, gaussian_kernel
 
 
@@ -387,3 +390,33 @@ class TestGaussianKernel:
     def test_rejects_even_size(self):
         with pytest.raises(ValueError):
             gaussian_kernel(8, 4.0)
+
+
+# every input check of monotone, by the exception and a fragment of its
+# message
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: QuadraticDataFit(identity_op(3), hvector([1.0, 2.0])),
+                 ValueError, "does not match operator codomain",
+                 id="data-fit-codomain"),
+    # no FFT symbol and too wide for the dense inverse; never applied
+    pytest.param(lambda: QuadraticDataFit(
+        LinOp(np.copy, np.copy, DENSE_DIM_LIMIT + 1, 1), hvector([0.0])),
+                 ValueError, "dense fallback limited", id="data-fit-dense"),
+    pytest.param(lambda: monotone_linear(-1.0), ValueError,
+                 "slope must be nonnegative", id="linear-negative-slope"),
+    pytest.param(lambda: monotone_linear(np.array([[-1.0]])), ValueError,
+                 "not monotone", id="linear-indefinite"),
+    pytest.param(lambda: l1_operator(-1.0), ValueError,
+                 "alpha must be nonnegative", id="l1-negative-alpha"),
+    pytest.param(lambda: box_operator(1.0, 0.0), ValueError, "empty box",
+                 id="box-empty"),
+    pytest.param(lambda: data_fit_operator(
+        QuadraticDataFit(identity_op(2), hvector([1.0, 2.0]))).resolvent(
+            diagonal_precond([1.0, 2.0]), np.zeros(2)),
+                 UnsupportedPreconditionerError,
+                 "needs a scalar preconditioner", id="data-fit-diagonal"),
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)

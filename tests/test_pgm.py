@@ -54,3 +54,28 @@ class TestRoundTrip:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(ValueError):
             read_pgm(path)
+
+
+# every input check of pgm, by the exception and a fragment of its
+# message; each call gets a path in a fresh directory
+def read_bytes(raw):
+    def call(path):
+        path.write_bytes(raw)
+        return read_pgm(path)
+    return call
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(read_bytes(b"P5\n2 2\n"), ValueError,
+                 "truncated PGM header", id="read-truncated-header"),
+    pytest.param(read_bytes(b"P2\n2 2\n255\n0 1 2\n"), ValueError,
+                 "truncated P2 raster", id="read-truncated-p2"),
+    pytest.param(lambda path: write_pgm(path, np.zeros((2, 2)), maxval=0),
+                 ValueError, "maxval must be in (0, 255]", id="write-maxval-0"),
+    pytest.param(lambda path: write_pgm(path, np.zeros(3)), ValueError,
+                 "expected a 2-D pixel array", id="write-1d"),
+])
+def test_input_checks(tmp_path, call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call(tmp_path / "img.pgm")
+    assert fragment in str(info.value)

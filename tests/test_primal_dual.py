@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdsplit import (
+    FejerMonitor,
     ImageGrid,
     MonotoneOp,
     PDProblem,
@@ -23,6 +24,7 @@ from pdsplit import (
     zero_inclusion_residual,
     zero_operator,
 )
+from pdsplit.linalg import DENSE_DIM_LIMIT
 from pdsplit.tv import build_gradient_ops, gradient_norm_sq
 
 from conftest import random_state
@@ -278,3 +280,46 @@ class TestZeroInclusionResidual:
             assert res.converged
             post = pd_resolvent(p, res.state)
             assert zero_inclusion_residual(p, post) <= 10 * 1e-9
+
+
+HALF_LIMIT = DENSE_DIM_LIMIT // 2 + 1
+
+
+def one_block(coupling, primal_dim, dual_dims):
+    return PDProblem(
+        A=zero_operator(),
+        blocks=tuple((zero_operator(), coupling) for _ in dual_dims),
+        upsilon=scalar_precond(1.0, primal_dim),
+        sigmas=tuple(scalar_precond(1.0, d) for d in dual_dims),
+    )
+
+
+# every input check of primal_dual, by the exception and a fragment of
+# its message
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: PDProblem(
+        A=zero_operator(), blocks=((zero_operator(), identity_op(2)),),
+        upsilon=scalar_precond(1.0, 2), sigmas=()),
+                 ValueError, "one dual preconditioner per block",
+                 id="sigmas-per-block"),
+    pytest.param(lambda: one_block(identity_op(3), 2, (3,)), ValueError,
+                 "domain mismatch", id="coupling-domain"),
+    pytest.param(lambda: one_block(matrix_op(np.ones((3, 2))), 2, (2,)),
+                 ValueError, "codomain mismatch", id="coupling-codomain"),
+    # an identity-coupled problem is cheap to build at any size
+    pytest.param(lambda: one_block(identity_op(HALF_LIMIT), HALF_LIMIT,
+                                   (HALF_LIMIT,)).metric_matrix(),
+                 ValueError, "exceeds dense limit", id="metric-matrix-dense"),
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_fejer_monitor_with_one_value_has_no_increase():
+    p = one_block(identity_op(2), 2, (2,))
+    mon = FejerMonitor(p, np.zeros(4))
+    mon.start(np.ones(4))
+    assert len(mon.values) == 1
+    assert mon.max_single_step_increase == 0.0

@@ -262,7 +262,6 @@ relaxations = st.lists(
 )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @examples
 @given(n=st.integers(1, 8), kind=preconds, lams=relaxations,
        seed=st.integers(0, 2**32 - 1))

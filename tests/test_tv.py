@@ -27,6 +27,7 @@ from pdsplit import (
     tv_objective,
     zero_inclusion_residual,
 )
+from pdsplit.tv import gaussian_kernel
 
 from conftest import adjoint_gap
 
@@ -406,7 +407,6 @@ class TestSweep:
             run.image, QuadraticDataFit(R, observed.as_hvector()), 0.01)
         assert row["psnr"] == psnr(run.image, clean)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_failed_cell_recorded(self, monkeypatch):
         # max_iter=1 cannot converge; row must report the failure
         grid, _ = self._tiny()
@@ -427,3 +427,56 @@ class TestSweep:
             assert r["error"] == "RuntimeError: solver exploded"
             assert r["iterations"] == 0 and not r["converged"]
             assert math.isnan(r["objective"])
+
+
+def grid(n1=4, n2=4, peak=1.0):
+    return ImageGrid(np.zeros((n1, n2)), peak)
+
+
+def build_mismatched_fit():
+    # the fit of another, equal blur
+    observed = grid(9, 9)
+    R = build_gaussian_blur(9, 9, 3, 1.0)
+    other = build_gaussian_blur(9, 9, 3, 1.0)
+    fit = QuadraticDataFit(other, observed.as_hvector())
+    return build_problem(TVConfig(0.1, 0.1, 0.1, 0.1), observed, R, fit)
+
+
+# every input check of tv, by the exception and a fragment of its
+# message
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: ImageGrid(np.zeros((1, 5))), ValueError,
+                 "both sides >= 2", id="image-one-row"),
+    pytest.param(lambda: ImageGrid(np.array([[0.0, np.nan], [0.0, 0.0]])),
+                 ValueError, "entries must be finite", id="image-nan"),
+    pytest.param(lambda: grid(peak=0.0), ValueError, "peak must be positive",
+                 id="image-peak-0"),
+    pytest.param(lambda: gradient_norm_sq(1), ValueError, "need n >= 2",
+                 id="gradient-norm-n1"),
+    pytest.param(lambda: gaussian_kernel(3, 0.0), ValueError,
+                 "std must be positive", id="kernel-std-0"),
+    pytest.param(lambda: build_gaussian_blur(4, 4, 9, 4.0), ValueError,
+                 "kernel larger than the image", id="blur-kernel-too-large"),
+    pytest.param(lambda: add_gaussian_noise(grid(), -1.0, 0), ValueError,
+                 "noise level must be nonnegative", id="noise-negative"),
+    pytest.param(lambda: psnr(grid(2, 2), grid(3, 3)), ValueError,
+                 "image shapes differ", id="psnr-shapes"),
+    pytest.param(lambda: equal_critical_sigma(0.0, 4.0, 4.0), ValueError,
+                 "tau must be positive", id="equal-sigma-tau-0"),
+    pytest.param(lambda: build_problem(TVConfig(0.1, 0.1, 0.1, 0.1), grid(),
+                                       build_gaussian_blur(5, 5, 3, 1.0)),
+                 ValueError, "blur operator does not match",
+                 id="problem-blur-grid"),
+    pytest.param(build_mismatched_fit, ValueError,
+                 "data fit is not of the blur operator", id="problem-fit"),
+    pytest.param(lambda: TVInstance(blur_std=0.0), ValueError,
+                 "blur std 0.0 must be positive", id="instance-blur-std-0"),
+    # a subnormal step has an infinite inverse in the metric V
+    pytest.param(lambda: TVConfig(0.4, 1e-320, 0.1, 0.1), ValueError,
+                 "step sizes must be positive normal floats",
+                 id="config-subnormal-sigma"),
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)
