@@ -151,7 +151,8 @@ def equivalence_deviation(
 ) -> float:
     """Max componentwise gap between the primal-dual auxiliary sequence
     and the classic relaxed iteration over a fixed number of steps
-    (+inf when one run ends early on a non-finite step)."""
+    (+inf when one run ends early on a non-finite step or a compared
+    entry is not finite)."""
     pd_run = pd_drs_iterate(p, x0, u0, sched, eps=None, max_iter=iters)
     coll = _Collector(np.copy)
     # the classic run starts where the auxiliary sequence does
@@ -159,5 +160,7 @@ def equivalence_deviation(
                 monitors=(coll,))
     if len(coll.values) != len(pd_run.z_sequence):
         return math.inf
-    return max(float(np.max(np.abs(za - zb)))
-               for za, zb in zip(pd_run.z_sequence, coll.values))
+    # a non-finite entry makes its gap inf or NaN (inf - inf)
+    gaps = [float(np.max(np.abs(za - zb)))
+            for za, zb in zip(pd_run.z_sequence, coll.values)]
+    return max(gaps) if all(map(math.isfinite, gaps)) else math.inf

@@ -4,7 +4,7 @@
 V: its action, its seminorm and, at desk scale, its dense matrix.
 This module evaluates the joint primal-dual resolvent, runs the
 relaxed iteration through the generic fixed-point engine, estimates
-the step-size condition by power iteration, monitors Fejer distances
+the step-size condition by Lanczos, monitors Fejer distances
 and displacements in the V-seminorm and certifies approximate zeros
 through the seminorm residual.
 """
@@ -199,21 +199,24 @@ def pd_resolvent(p: PDProblem, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepCondition:
+    """The estimate of sum_i ||sqrt(S_i) L_i sqrt(Y)||^2, and whether
+    it lies within COND_TOL of 1 (critical step sizes)."""
+
     norm_sq_estimate: float
     critical: bool
 
 
 def step_condition(p: PDProblem) -> StepCondition:
     """Estimate the step-size condition sum_i ||sqrt(S_i) L_i sqrt(Y)||^2
-    by power iteration to a relative tolerance of 1e-8.
+    by Lanczos (``power_iteration_sqnorm``) to a relative tolerance of
+    1e-8.
 
-    Each block norm is obtained by power-iterating the self-adjoint
-    map sqrt(Y) L_i^* S_i L_i sqrt(Y) separately; the per-block sum is
-    both the literal multi-block hypothesis and markedly better
-    conditioned for power iteration than the stacked composite.  The
+    Each block norm is the largest eigenvalue of the self-adjoint map
+    sqrt(Y) L_i^* S_i L_i sqrt(Y), estimated separately; the per-block
+    sum is the literal multi-block hypothesis.  The estimate meets a
+    closed-form norm to rounding and may exceed it by an ulp, so the
     configuration is flagged critical when the estimate is within
-    COND_TOL of 1 (power iteration underestimates, and the convergence
-    theory covers the equality case).
+    COND_TOL of 1 (the convergence theory covers the equality case).
     """
     n = p.dim
     root = p.upsilon.sqrt()

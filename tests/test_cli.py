@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pdsplit import cli
 from pdsplit.cli import _FORMATS, main
 from pdsplit.pgm import read_pgm
 
@@ -681,6 +683,14 @@ class TestDRSCheckCommand:
         rc = main(["drs-check", "--dims", "4", "--iters", "80",
                    "--instances", "5", "--seed", "9"])
         assert rc == 0
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "equivalence_deviation",
+                            lambda *args: math.nan)
+        rc = main(["drs-check", "--dims", "4", "--iters", "5",
+                   "--instances", "2"])
+        assert "max deviation" in capsys.readouterr().out
+        assert rc == 2
 
 
 class TestDiagnoseCommand:

@@ -218,3 +218,15 @@ def test_equivalence_deviation_of_a_run_that_ends_early_is_infinite():
         assert pd_drs_iterate(p, big, big, sched, None, 5).stop_reason \
             == "nonfinite"
         assert equivalence_deviation(p, big, big, sched, 5) == math.inf
+
+
+def test_equivalence_deviation_of_equal_infinite_entries_is_infinite():
+    # x0 - Y u0 overflows to -inf, so both runs stop at their first step
+    # with equal lengths, and -inf - -inf is NaN
+    p = DRSProblem(A=monotone_linear(1.0, np.array([1e308])),
+                   B=monotone_linear(1e300, 0.0),
+                   upsilon=scalar_precond(1e300, 1))
+    big = np.array([1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert equivalence_deviation(
+            p, big, big, RelaxationSchedule.constant(1.0), 5) == math.inf

@@ -5,6 +5,7 @@ import pytest
 
 from pdsplit import (
     HVector,
+    LinOp,
     PDProblem,
     PowerIterationError,
     UnsupportedPreconditionerError,
@@ -21,7 +22,8 @@ from pdsplit import (
     zero_operator,
 )
 from pdsplit.linalg import DENSE_DIM_LIMIT
-from pdsplit.tv import build_gaussian_blur, build_gradient_ops
+from pdsplit.tv import (build_gaussian_blur, build_gradient_ops,
+                        gradient_norm_sq)
 
 from conftest import (
     adjoint_gap,
@@ -230,7 +232,9 @@ class TestPowerIteration:
         assert a == b
 
     def test_nonconvergence_carries_estimate(self):
-        op = normal(matrix_op(np.diag([2.0, 1.999999])))
+        # Lanczos is exact on a 2-D operator in two steps; 50 distinct
+        # eigenvalues keep three steps short of the tolerance
+        op = normal(matrix_op(np.diag(np.linspace(1.0, 2.0, 50))))
         with pytest.raises(PowerIterationError) as exc:
             power_iteration_sqnorm(op, tol=1e-16, max_iter=3)
         assert exc.value.last_estimate > 0.0
@@ -238,6 +242,33 @@ class TestPowerIteration:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             power_iteration_sqnorm(identity_op(3), tol=0.0)
+
+    def test_random_psd_within_rounding_of_top_eigenvalue(self, rng):
+        # repeated, clustered and rank-deficient tops over six decades
+        for case in range(200):
+            dim = int(rng.integers(2, 65))
+            w = rng.uniform(0.0, 1.0, dim)
+            kind = case % 4
+            top = int(rng.integers(1, dim + 1))
+            if kind == 1:
+                w[:top] = 1.0
+            elif kind == 2:
+                w[:top] = 1.0 - rng.uniform(0.0, 1e-6, top)
+                w[0] = 1.0
+            elif kind == 3:
+                w[:top] = 0.0
+                w[-1] = 1.0
+            w *= 10.0 ** rng.uniform(-3.0, 3.0)
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            est = power_iteration_sqnorm(matrix_op((q * w) @ q.T),
+                                         tol=1e-12, seed=case)
+            lam = float(w.max())
+            assert lam * (1 - 1e-9) <= est <= lam * (1 + 1e-12), case
+
+    def test_breakdown_is_exact(self):
+        # the identity and 1-D maps end after one step, at the exact value
+        assert power_iteration_sqnorm(identity_op(10)) == 1.0
+        assert power_iteration_sqnorm(matrix_op([[3.0]])) == 3.0
 
 
 class TestSaddleOperator:
@@ -411,6 +442,21 @@ class TestGradientNorm:
         est = power_iteration_sqnorm(normal(d1), tol=3e-8, max_iter=100000,
                                      seed=0)
         assert est == pytest.approx(3.9998, abs=1e-3)
+
+    def test_paper_scale_application_budget(self):
+        d1, _ = build_gradient_ops(256, 256)
+        op = normal(d1)
+        calls = 0
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return op.forward(v)
+
+        est = power_iteration_sqnorm(LinOp(counted, counted, op.dom_dim,
+                                           op.dom_dim), tol=1e-8)
+        assert est == pytest.approx(gradient_norm_sq(256), rel=1e-12)
+        assert calls <= 400
 
     def test_small_grid_matches_dense(self, rng):
         d1, d2 = build_gradient_ops(6, 5)

@@ -258,6 +258,22 @@ class TestBuildProblem:
         assert cond.critical
         assert 1 - 1e-3 <= cond.norm_sq_estimate <= 1 + 1e-4
 
+    def test_condition_matches_closed_form_on_random_grids(self, rng):
+        for _ in range(20):
+            n1, n2 = (int(n) for n in rng.integers(3, 41, size=2))
+            observed = ImageGrid(rng.uniform(0.0, 1.0, (n1, n2)), peak=1.0)
+            R = build_gaussian_blur(n1, n2, size=1, std=1.0)
+            tau = float(rng.uniform(0.1, 2.0))
+            # the three block terms share a random total of at most 1
+            share = rng.dirichlet(np.ones(3)) * rng.uniform(0.5, 1.0)
+            g1, g2 = gradient_norm_sq(n1), gradient_norm_sq(n2)
+            cfg = TVConfig(tau=tau, sigma1=share[0] / (tau * g1),
+                           sigma2=share[1] / (tau * g2),
+                           sigma3=share[2] / tau)
+            est = step_condition(build_problem(cfg, observed, R))
+            want = tau * (cfg.sigma1 * g1 + cfg.sigma2 * g2 + cfg.sigma3)
+            assert est.norm_sq_estimate == pytest.approx(want, abs=1e-9)
+
 
 class TestRunSolver:
     def test_exact_data_no_blur_recovers_observation(self, rng):
