@@ -49,7 +49,6 @@ from .tv import (
     psnr,
     run_tv_solver,
     sweep,
-    tv_objective,
 )
 
 EXIT_OK = 0
@@ -200,7 +199,7 @@ def _out_dir(cp: configparser.ConfigParser,
 
 def _tv_setup(cp: configparser.ConfigParser, overrides: argparse.Namespace):
     """Build (cfg, observed, R, clean_or_None) from a config file and
-    the command's ``--seed`` and, where it has one, ``--lambda``; what
+    the command's ``--seed`` and ``--lambda`` where it has them; what
     none of them sets keeps its ``TVInstance.config`` default."""
     source = cp.get("image", "source", fallback="synthetic")
     if source == "synthetic":
@@ -258,12 +257,11 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         ascii_format=cp.get("output", "format", fallback="").upper() == "P2",
     )
     write_trace_csv(out_dir / "trace.csv", run.trace)
-    obj = tv_objective(run.image, run.fit, cfg.alpha)
     quality = psnr(run.image, clean) if clean is not None else math.nan
     print(
         f"iterations={run.iterations} converged={run.converged} "
         f"residual={run.final_residual:.3e} "
-        f"objective={obj:.6f} psnr={quality:.4f} "
+        f"objective={run.objective:.6f} psnr={quality:.4f} "
         f"stop={run.stop_reason}"
     )
     return EXIT_OK if run.converged else EXIT_NOCONV
@@ -322,7 +320,11 @@ def _random_drs_instance(dim: int, rng: np.random.Generator) -> DRSProblem:
 
 def cmd_drs_check(args: argparse.Namespace) -> int:
     # the instances are dense dims x dims matrices, each inverted at
-    # cubic cost: 5 took 3.9 s at --dims 1024 on a 2-core host
+    # cubic cost: 5 took 3.9 s at --dims 1024 on a 2-core host.  Each
+    # of the --instances + 1 runs (the last on the zero operator) takes
+    # --iters steps, each about 60 us plus dims x dims products there,
+    # and keeps both sequences (0.8 KB a step at --dims 16): at the last
+    # bound below that is 5-6 s and at most 0.2 GB
     for bad, rule in (
         (args.dims < 1, "--dims must be at least 1"),
         (args.iters < 1, "--iters must be at least 1"),
@@ -331,6 +333,9 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
          f"--dims must be at most {DENSE_DIM_LIMIT}"),
         (args.instances * args.dims ** 3 > 5 * 1024 ** 3,
          "--instances * --dims**3 must be at most 5 * 1024**3"),
+        ((args.instances + 1) * args.iters * (args.dims ** 2 + 2 ** 16)
+         > 5 * 1024 ** 3, "(--instances + 1) * --iters * (--dims**2 + "
+         "2**16) must be at most 5 * 1024**3"),
     ):
         if bad:
             print(f"config error: {rule}", file=sys.stderr)
@@ -401,12 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def config_options(p):
+    def run_options(p):
         p.add_argument("--config", required=False, help="INI config path")
         p.add_argument("--seed", type=int, default=None)
-
-    def run_options(p):
-        config_options(p)
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--lambda", dest="relaxation", type=float, default=None)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drs.set_defaults(func=cmd_drs_check, needs_config=False)
 
     p_diag = sub.add_parser("diagnose", help="step-size condition report")
-    config_options(p_diag)
+    p_diag.add_argument("--config", required=False, help="INI config path")
     p_diag.set_defaults(func=cmd_diagnose, needs_config=True)
     return ap
 
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
     if getattr(args, "needs_config", False) and not args.config:
         print("config error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None and args.seed < 0:
+    if getattr(args, "seed", None) is not None and args.seed < 0:
         print("config error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_CONFIG
     return args.func(args)

@@ -71,7 +71,7 @@ def as_pd_problem(p: DRSProblem) -> PDProblem:
         A=p.A,
         blocks=((p.B, identity_op(p.dim)),),
         upsilon=p.upsilon,
-        sigmas=(p.upsilon.inverse(),),
+        sigmas=(p.upsilon.inverse,),
     )
 
 

@@ -83,10 +83,6 @@ class HVector:
             raise ValueError("HVector entries must be finite")
         object.__setattr__(self, "data", data)
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
 
 def hvector(values) -> HVector:
     """Build an HVector from any array-like."""
@@ -199,21 +195,15 @@ class Precond:
         return Precond(self.dim, matrix=_freeze((u * fw) @ u.T),
                        eig=(fw, u))
 
-    def inverse(self) -> "Precond":
-        """P^{-1}, built once: every call returns the same object."""
-        return self._inverse
-
-    def sqrt(self) -> "Precond":
-        """The self-adjoint square root of P, built once: every call
-        returns the same object."""
-        return self._sqrt
-
     @cached_property
-    def _inverse(self) -> "Precond":
+    def inverse(self) -> "Precond":
+        """P^{-1}, built on first use and then kept."""
         return self.map(lambda d: 1.0 / d)
 
     @cached_property
-    def _sqrt(self) -> "Precond":
+    def sqrt(self) -> "Precond":
+        """The self-adjoint square root of P, built on first use and
+        then kept."""
         return self.map(np.sqrt)
 
     def as_matrix(self) -> np.ndarray:

@@ -110,7 +110,7 @@ class QuadraticDataFit:
     """
 
     def __init__(self, R: LinOp, b: HVector):
-        if R.cod_dim != b.size:
+        if R.cod_dim != b.data.size:
             raise ValueError("observation does not match operator codomain")
         self.R = R
         self._b = b.data
@@ -197,7 +197,7 @@ def dual_resolvent(op: MonotoneOp, sigma: Precond, u: np.ndarray,
     """
     if op.conj_resolvent is not None:
         return op.conj_resolvent(sigma, u, out)
-    inv = sigma.inverse()
+    inv = sigma.inverse
     w = op.resolvent(inv, inv.apply(u))
     return np.subtract(u, sigma.apply(w), out=out)
 

@@ -39,7 +39,8 @@ def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a P5 or P2 PGM file; returns (pixels, maxval).
 
-    ``pixels`` is a float64 array of shape (rows, cols).
+    ``pixels`` is a float64 array of shape (rows, cols) with entries
+    in [0, maxval]; a sample outside that range is a ValueError.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -54,15 +55,17 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         raster = data[off + 1:off + 1 + width * height]
         if len(raster) < width * height:
             raise ValueError("truncated P5 raster")
-        pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
+        samples = np.frombuffer(raster, dtype=np.uint8)
     else:
         values = data[off:].split()
         if len(values) < width * height:
             raise ValueError("truncated P2 raster")
-        pixels = np.array(
-            [int(v) for v in values[: width * height]], dtype=np.float64
-        )
-    return pixels.reshape(height, width), maxval
+        # no dtype: a token beyond float range stays a Python int and
+        # fails the range check instead of overflowing
+        samples = np.array([int(v) for v in values[: width * height]])
+    if not np.all((samples >= 0) & (samples <= maxval)):
+        raise ValueError(f"PGM samples must lie in [0, {maxval}]")
+    return samples.astype(np.float64).reshape(height, width), maxval
 
 
 def write_pgm(path, pixels: np.ndarray, maxval: int = 255,

@@ -119,8 +119,8 @@ class PDProblem:
         for (_, l), s, sl in zip(self.blocks, self.sigmas, self.dual_slices):
             u = z[sl]
             acc += l.adjoint(u)
-            out[sl] = s.inverse().apply(u) - l.forward(x)
-        out[:n] = self.upsilon.inverse().apply(x) - acc
+            out[sl] = s.inverse.apply(u) - l.forward(x)
+        out[:n] = self.upsilon.inverse.apply(x) - acc
         return out
 
     def seminorm(self, z: np.ndarray) -> float:
@@ -219,7 +219,7 @@ def step_condition(p: PDProblem) -> StepCondition:
     COND_TOL of 1 (the convergence theory covers the equality case).
     """
     n = p.dim
-    root = p.upsilon.sqrt()
+    root = p.upsilon.sqrt
     est = 0.0
     for (_, l), s in zip(p.blocks, p.sigmas):
 

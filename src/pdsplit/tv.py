@@ -63,7 +63,7 @@ class ImageGrid:
     """Grayscale image: an n1 x n2 float grid plus its dynamic range."""
 
     pixels: np.ndarray
-    peak: float = 255.0
+    peak: float
 
     def __post_init__(self):
         arr = np.asarray(self.pixels, dtype=np.float64)
@@ -80,9 +80,6 @@ class ImageGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.pixels.shape
-
-    def as_hvector(self) -> HVector:
-        return HVector(self.pixels)
 
 
 def gradient_norm_sq(n: int) -> float:
@@ -165,9 +162,7 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     return k2 / k2.sum()
 
 
-def build_gaussian_blur(
-    n1: int, n2: int, size: int = 9, std: float = 4.0
-) -> LinOp:
+def build_gaussian_blur(n1: int, n2: int, size: int, std: float) -> LinOp:
     """Periodic Gaussian blur, diagonalized by the real FFT.
 
     Self-adjoint by kernel symmetry; its transfer function (half
@@ -218,23 +213,17 @@ def add_gaussian_noise(img: ImageGrid, std_rel: float, seed: int) -> ImageGrid:
     return ImageGrid(img.pixels + noise, img.peak)
 
 
-def tv_objective(
-    x: ImageGrid | np.ndarray,
-    fit: QuadraticDataFit,
-    alpha: float,
-    grads: tuple[LinOp, LinOp] | None = None,
-) -> float:
+def tv_objective(pixels: np.ndarray, fit: QuadraticDataFit, alpha: float,
+                 grads: tuple[LinOp, LinOp]) -> float:
     """Data fit plus anisotropic total variation:
     0.5*||R x - b||^2 + alpha * (||D1 x||_1 + ||D2 x||_1).
 
-    ``x`` is an ImageGrid or its n1 x n2 pixel array, and ``fit`` the
-    data-fit term of R and the observation b, whose ``value`` gives
-    the first term.  ``grads`` is the (D1, D2) pair of
-    ``build_gradient_ops`` for that grid; it is built here when
-    omitted, so callers evaluating many iterates pass it.
+    ``pixels`` is the n1 x n2 image x, ``fit`` the data-fit term of R
+    and the observation b, whose ``value`` gives the first term, and
+    ``grads`` the (D1, D2) pair of ``build_gradient_ops`` for that
+    grid.
     """
-    pixels = x.pixels if isinstance(x, ImageGrid) else x
-    d1, d2 = grads if grads is not None else build_gradient_ops(*pixels.shape)
+    d1, d2 = grads
     xv = pixels.ravel()
     # one array holds each difference and its magnitude in turn
     g = d1.forward(xv)
@@ -258,7 +247,7 @@ def psnr(x: ImageGrid, ref: ImageGrid) -> float:
     return 10.0 * math.log10(ref.peak ** 2 * n / sq)
 
 
-def synthetic_image(n1: int, n2: int, peak: float = 255.0) -> ImageGrid:
+def synthetic_image(n1: int, n2: int, peak: float) -> ImageGrid:
     """Deterministic piecewise-constant test image.
 
     A flat background with a bright rectangle, a mid-gray disc and a
@@ -327,8 +316,8 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp,
 
     The primal operator is the gradient of ``fit``, the data-fit term
     0.5*||R x - b||^2 of the observation b.  It is built here when
-    omitted; a caller that also evaluates ``tv_objective`` passes its
-    own, so that one fit serves both.  Blocks: anisotropic differences
+    omitted; ``run_tv_solver`` passes its own, so that one fit also
+    scores the solve.  Blocks: anisotropic differences
     along each axis with an l1 penalty, and an identity-coupled box
     constraint on the dynamic range.
     """
@@ -338,7 +327,7 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp,
         raise ValueError("blur operator does not match the image grid")
     _check_boundary(cfg, observed.shape)
     if fit is None:
-        fit = QuadraticDataFit(R, observed.as_hvector())
+        fit = QuadraticDataFit(R, HVector(observed.pixels))
     elif fit.R is not R:
         raise ValueError("data fit is not of the blur operator")
     d1, d2 = build_gradient_ops(n1, n2)
@@ -360,12 +349,12 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp,
 
 @dataclass
 class TVRunResult(KMResult):
-    """A deblurring run: the KM result plus the restored image, the
-    problem that was solved and its data-fit term."""
+    """A deblurring run: the KM result plus the restored image, its
+    ``tv_objective`` and the problem that was solved."""
 
     image: ImageGrid | None = None
+    objective: float = math.nan
     problem: PDProblem | None = None
-    fit: QuadraticDataFit | None = None
 
 
 def run_tv_solver(
@@ -382,32 +371,31 @@ def run_tv_solver(
     non-finite; ``stop_reason`` says which).  The returned
     image is the final (relaxed) primal iterate; it may leave the box
     by a relaxation-sized margin mid-run, while one extra resolvent
-    application lands inside it.  With ``record_objective`` each trace
-    row carries ``tv_objective`` of its primal iterate, evaluated with
-    the solve's own data-fit term (``fit`` of the result).
+    application lands inside it.  The result's ``objective`` is
+    ``tv_objective`` of that image, scored with the solve's own data
+    fit and difference blocks; with ``record_objective`` each trace row
+    carries the same formula on its primal iterate.
     """
-    fit = QuadraticDataFit(R, observed.as_hvector())
+    fit = QuadraticDataFit(R, HVector(observed.pixels))
     problem = build_problem(cfg, observed, R, fit)
-    z0 = problem.initial_state(observed.pixels)
-    sched = RelaxationSchedule.constant(cfg.relaxation)
-    objective_fn = None
-    if record_objective:
-        alpha = cfg.alpha
-        shape = observed.shape
-        n = problem.dim
-        grads = build_gradient_ops(*shape)
+    # (D1, D2): the couplings of the two l1 blocks
+    grads = (problem.blocks[0][1], problem.blocks[1][1])
+    shape = observed.shape
+    n = problem.dim
 
-        def objective_fn(z: np.ndarray) -> float:
-            return tv_objective(z[:n].reshape(shape), fit, alpha, grads)
+    def objective_fn(z: np.ndarray) -> float:
+        return tv_objective(z[:n].reshape(shape), fit, cfg.alpha, grads)
 
     result = pd_iterate(
-        problem, z0, sched, cfg.eps, cfg.max_iter,
-        monitors=monitors, objective_fn=objective_fn,
+        problem, problem.initial_state(observed.pixels),
+        RelaxationSchedule.constant(cfg.relaxation), cfg.eps, cfg.max_iter,
+        monitors=monitors,
+        objective_fn=objective_fn if record_objective else None,
     )
-    restored = ImageGrid(result.state[:problem.dim].reshape(observed.shape),
-                         observed.peak)
-    return TVRunResult(**vars(result), image=restored, problem=problem,
-                       fit=fit)
+    restored = ImageGrid(result.state[:n].reshape(shape), observed.peak)
+    objective = tv_objective(restored.pixels, fit, cfg.alpha, grads)
+    return TVRunResult(**vars(result), image=restored, objective=objective,
+                       problem=problem)
 
 
 @dataclass(frozen=True)
@@ -615,7 +603,7 @@ def _run_cell(cfg, observed, R, clean):
             iterations=run.iterations,
             converged=run.converged,
             final_residual=run.final_residual,
-            objective=tv_objective(run.image, run.fit, cfg.alpha),
+            objective=run.objective,
             psnr=psnr(run.image, clean),
         )
     except Exception as exc:  # one failed cell must not end the sweep

@@ -367,10 +367,14 @@ class TestSolveTV:
                      id="solve-tv-out-dir-empty"),
         pytest.param("sweep", {"out_dir = {out}": "out_dir ="},
                      id="sweep-out-dir-empty"),
+        # a source image with samples above its maxval
+        pytest.param("solve-tv", {"source = synthetic": "source = over.pgm"},
+                     id="solve-tv-source-above-maxval"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, monkeypatch,
                                          command, extra):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "over.pgm").write_text("P2\n32 32\n255\n" + "300\n" * 1024)
         argv = [command]
         if command != "drs-check":
             text = SWEEP_CONFIG if command == "sweep" else SOLVE_CONFIG
@@ -684,6 +688,25 @@ class TestDRSCheckCommand:
                    "--instances", "5", "--seed", "9"])
         assert rc == 0
 
+    @pytest.mark.parametrize("extra", [
+        ["--iters", "1000000000000", "--instances", "1"],
+        ["--iters", "200000", "--instances", "0"],
+    ], ids=["iters-1e12", "iters-2e5"])
+    def test_iters_beyond_the_work_bound_is_config_error(self, capsys,
+                                                          monkeypatch, extra):
+        # both sequences are stored in full, so --iters is bounded like
+        # the dense work, and checked before anything is drawn
+        def drawn(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(cli, "_random_drs_instance", drawn)
+        rc = main(["drs-check"] + extra)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: (--instances + 1) * --iters")
+
     def test_nan_deviation_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "equivalence_deviation",
                             lambda *args: math.nan)
@@ -744,11 +767,13 @@ gamma2 = 0.01
         assert "rank=" in out and "kernel_dim=" in out
 
     def test_run_options_are_unknown_flags(self, tmp_path, capsys):
-        # diagnose reads only --config and --seed; the solver's run
-        # options are rejected like any unknown flag
+        # diagnose reads only --config: neither the step condition nor V
+        # reads the noise that --seed draws, and the solver's run options
+        # are rejected like any unknown flag
         cfg = write_config(tmp_path, "[solver]\nproblem = identity\n")
         for flag, value in (("--eps", "3"), ("--lambda", "1.5"),
-                            ("--max-iter", "7"), ("--out-dir", "zzz")):
+                            ("--max-iter", "7"), ("--out-dir", "zzz"),
+                            ("--seed", "5")):
             with pytest.raises(SystemExit) as exc:
                 main(["diagnose", "--config", cfg, flag, value])
             assert exc.value.code == 2

@@ -63,10 +63,10 @@ class TestPrecond:
     def test_inverse_and_sqrt(self, make, rng):
         p = make()
         v = rng.standard_normal(p.dim)
-        np.testing.assert_allclose(p.inverse().apply(p.apply(v)), v,
+        np.testing.assert_allclose(p.inverse.apply(p.apply(v)), v,
                                    rtol=1e-12)
         np.testing.assert_allclose(
-            p.sqrt().apply(p.sqrt().apply(v)), p.apply(v), rtol=1e-12
+            p.sqrt.apply(p.sqrt.apply(v)), p.apply(v), rtol=1e-12
         )
 
     @pytest.mark.parametrize("make", [
@@ -83,7 +83,7 @@ class TestPrecond:
         p, ref = make(2.5, n), scalar_precond(2.5, n)
         v = rng.standard_normal(n)
         same(p.apply(v), ref.apply(v))
-        same(p.inverse().apply(v), ref.inverse().apply(v))
+        same(p.inverse.apply(v), ref.inverse.apply(v))
         same(p.as_matrix(), ref.as_matrix())
         assert np.linalg.eigvalsh(p.as_matrix())[0] == pytest.approx(2.5)
         coupling = matrix_op(rng.standard_normal((m, n)))
@@ -320,12 +320,12 @@ class TestSaddleOperator:
                     diagonal_precond(np.linspace(0.2, 0.6, n))),
         )
         want = np.zeros((p.total_dim, p.total_dim))
-        want[:n, :n] = p.upsilon.inverse().as_matrix()
+        want[:n, :n] = p.upsilon.inverse.as_matrix()
         for (_, l), s, sl in zip(p.blocks, p.sigmas, p.dual_slices):
             lm = l.as_matrix()
             want[:n, sl] = -lm.T
             want[sl, :n] = -lm
-            want[sl, sl] = s.inverse().as_matrix()
+            want[sl, sl] = s.inverse.as_matrix()
         np.testing.assert_array_equal(p.metric_matrix(), want)
 
     def test_dimension_mismatch(self, rng):

@@ -55,6 +55,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("raw", [
+        b"P2\n4 4\n255\n" + b"300 " * 16,
+        b"P2\n2 2\n255\n-1 0 0 0\n",
+        b"P2\n2 2\n255\n" + b"9" * 400 + b" 0 0 0\n",
+        b"P5\n2 2\n100\n" + bytes([101, 0, 0, 0]),
+    ], ids=["p2-above", "p2-negative", "p2-huge", "p5-above"])
+    def test_rejects_samples_outside_maxval(self, tmp_path, raw):
+        path = tmp_path / "r.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"samples must lie in \[0, "):
+            read_pgm(path)
+
+    def test_samples_at_maxval_are_read(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
+        back, maxval = read_pgm(path)
+        assert maxval == 100
+        np.testing.assert_array_equal(back, [[0.0, 100.0]])
+
 
 # every input check of pgm, by the exception and a fragment of its
 # message; each call gets a path in a fresh directory

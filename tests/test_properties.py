@@ -197,7 +197,7 @@ def test_linear_resolvent_solves_and_never_reuses_a_stale_inverse(
         fresh = monotone_linear(mat, c).resolvent(p, x)
         assert np.array_equal(y, fresh)
     for p in (p1, p2):
-        assert p.inverse() is p.inverse()
+        assert p.inverse is p.inverse
 
 
 @examples
@@ -212,8 +212,8 @@ def test_functions_of_an_ill_conditioned_precond(log_cond, seed):
     n, cond = 20, 10.0 ** log_cond
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     p = matrix_precond((q * np.geomspace(1.0, cond, n)) @ q.T)
-    inv, root = p.inverse(), p.sqrt()
-    assert p.inverse() is inv and p.sqrt() is root
+    inv, root = p.inverse, p.sqrt
+    assert p.inverse is inv and p.sqrt is root
     norm = np.linalg.norm
     for _ in range(5):
         v = rng.standard_normal(n)

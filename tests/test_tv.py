@@ -87,7 +87,7 @@ class TestGaussianBlur:
         np.testing.assert_allclose(out[6:11, 6:11], kern, atol=1e-12)
 
     def test_preserves_constants(self):
-        R = build_gaussian_blur(12, 12)
+        R = build_gaussian_blur(12, 12, 9, 4.0)
         c = np.full(144, 7.5)
         np.testing.assert_allclose(R.forward(c), c, atol=1e-10)
 
@@ -110,22 +110,22 @@ class TestGaussianBlur:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_self_adjoint(self, rng):
-        R = build_gaussian_blur(10, 10)
+        R = build_gaussian_blur(10, 10, 9, 4.0)
         assert adjoint_gap(R, rng, trials=50) <= 1e-10
 
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
-            build_gaussian_blur(16, 16, size=4)
+            build_gaussian_blur(16, 16, size=4, std=4.0)
 
 
 class TestNoise:
     def test_zero_level_is_identity(self):
-        img = synthetic_image(8, 8)
+        img = synthetic_image(8, 8, 255.0)
         out = add_gaussian_noise(img, 0.0, 3)
         assert out is img
 
     def test_deterministic_per_seed(self):
-        img = synthetic_image(8, 8)
+        img = synthetic_image(8, 8, 255.0)
         a = add_gaussian_noise(img, 1e-2, 42)
         b = add_gaussian_noise(img, 1e-2, 42)
         assert (a.pixels == b.pixels).all()
@@ -144,7 +144,8 @@ class TestObjectiveAndPSNR:
         R = build_gaussian_blur(n, n, 5, 2.0)
         b = R.forward(img.pixels.ravel())
         fit = QuadraticDataFit(R, hvector(b))
-        assert tv_objective(img, fit, 0.3) == pytest.approx(0.0, abs=1e-18)
+        assert tv_objective(img.pixels, fit, 0.3, build_gradient_ops(n, n)) \
+            == pytest.approx(0.0, abs=1e-18)
 
     def test_alpha_zero_is_pure_data_fit(self, rng):
         n = 8
@@ -153,7 +154,8 @@ class TestObjectiveAndPSNR:
         b = rng.standard_normal(n * n)
         resid = R.forward(img.pixels.ravel()) - b
         fit = QuadraticDataFit(R, hvector(b))
-        assert tv_objective(img, fit, 0.0) == pytest.approx(
+        assert tv_objective(img.pixels, fit, 0.0,
+                            build_gradient_ops(n, n)) == pytest.approx(
             0.5 * float(resid @ resid), rel=1e-12
         )
 
@@ -168,8 +170,8 @@ class TestObjectiveAndPSNR:
         tv = np.abs(np.diff(x, axis=0)).sum() + np.abs(np.diff(x, axis=1)).sum()
         want = 0.5 * float((resid ** 2).sum()) + alpha * float(tv)
         fit = QuadraticDataFit(R, hvector(b))
-        assert tv_objective(img, fit, alpha) == pytest.approx(want,
-                                                              rel=1e-12)
+        assert tv_objective(x, fit, alpha, build_gradient_ops(n, n)) \
+            == pytest.approx(want, rel=1e-12)
 
     def test_psnr_single_pixel_error(self):
         n = 100
@@ -187,7 +189,7 @@ class TestObjectiveAndPSNR:
         assert a - b == pytest.approx(10 * math.log10(2.0), abs=1e-9)
 
     def test_psnr_identical_images_sentinel(self):
-        img = synthetic_image(8, 8)
+        img = synthetic_image(8, 8, 255.0)
         assert psnr(img, img) == math.inf
 
 
@@ -420,7 +422,8 @@ class TestSweep:
         assert row["iterations"] == run.iterations
         assert row["final_residual"] == run.final_residual
         assert row["objective"] == tv_objective(
-            run.image, QuadraticDataFit(R, observed.as_hvector()), 0.01)
+            run.image.pixels, QuadraticDataFit(R, hvector(observed.pixels)),
+            0.01, build_gradient_ops(16, 16))
         assert row["psnr"] == psnr(run.image, clean)
 
     def test_failed_cell_recorded(self, monkeypatch):
@@ -454,16 +457,17 @@ def build_mismatched_fit():
     observed = grid(9, 9)
     R = build_gaussian_blur(9, 9, 3, 1.0)
     other = build_gaussian_blur(9, 9, 3, 1.0)
-    fit = QuadraticDataFit(other, observed.as_hvector())
+    fit = QuadraticDataFit(other, hvector(observed.pixels))
     return build_problem(TVConfig(0.1, 0.1, 0.1, 0.1), observed, R, fit)
 
 
 # every input check of tv, by the exception and a fragment of its
 # message
 @pytest.mark.parametrize("call,exc,fragment", [
-    pytest.param(lambda: ImageGrid(np.zeros((1, 5))), ValueError,
+    pytest.param(lambda: ImageGrid(np.zeros((1, 5)), 1.0), ValueError,
                  "both sides >= 2", id="image-one-row"),
-    pytest.param(lambda: ImageGrid(np.array([[0.0, np.nan], [0.0, 0.0]])),
+    pytest.param(lambda: ImageGrid(np.array([[0.0, np.nan], [0.0, 0.0]]),
+                                   1.0),
                  ValueError, "entries must be finite", id="image-nan"),
     pytest.param(lambda: grid(peak=0.0), ValueError, "peak must be positive",
                  id="image-peak-0"),
