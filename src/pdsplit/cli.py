@@ -6,14 +6,14 @@ output), ``sweep`` (step-size/relaxation study to CSV), ``drs-check``
 small-scale metric diagnostics).
 
 ``solve-tv``, ``sweep`` and ``diagnose`` read the TV experiment the
-same way: ``_FORMATS["tv"]`` maps config keys onto ``tv.TVInstance``
-fields, whose defaults and checks are the only ones.
+same way: ``_KEYS`` maps config keys onto ``tv.TVInstance`` fields,
+whose defaults and checks are the only ones.
 
 Exit codes: 0 success, 1 configuration error, 2 non-convergence
 (including a run stopped by a non-finite iterate).
-Configs are flat INI key/value files with sections.  ``[solver]
-problem`` picks one key format of ``_FORMATS``, and any other section
-or key is rejected, so sweeps stay diffable and reproducible.
+Configs are flat INI key/value files with sections.  Any section or
+key outside ``_KEYS`` is rejected, so sweeps stay diffable and
+reproducible.
 """
 
 from __future__ import annotations
@@ -30,15 +30,10 @@ import numpy as np
 
 from .drs import DRSProblem, equivalence_deviation
 from .km import RelaxationSchedule
-from .linalg import (
-    DENSE_DIM_LIMIT,
-    dense_range_diagnostics,
-    identity_op,
-    scalar_precond,
-)
-from .monotone import monotone_linear, zero_operator
+from .linalg import DENSE_DIM_LIMIT, dense_range_diagnostics, scalar_precond
+from .monotone import monotone_linear
 from .pgm import read_pgm, write_pgm
-from .primal_dual import PDProblem, step_condition
+from .primal_dual import step_condition
 from .tv import (
     ImageGrid,
     SweepGrid,
@@ -57,30 +52,24 @@ EXIT_NOCONV = 2
 
 TRACE_COLUMNS = ("n", "residual", "objective")
 
-# the sections and keys a config may hold, by its [solver] problem; the
-# three TV commands share one format, so one file can drive them all.
-# A TV key maps to the TVInstance field it sets (a missing key keeps
-# that field's default), or to None when the commands read it
-# themselves
-_FORMATS = {
-    "tv": {
-        "image": {"n1": "n1", "n2": "n2", "peak": "peak", "source": None},
-        "blur": {"size": "blur_size", "std": "blur_std"},
-        "noise": {"std_rel": "noise_std_rel"},
-        "solver": {
-            "problem": None, "tau": None, "sigma1": None, "sigma2": None,
-            "sigma3": None, "gamma1": None, "gamma2": None, "alpha": "alpha",
-            "lambda": None, "eps": "eps", "max_iter": "max_iter", "seed": None,
-        },
-        "sweep": dict.fromkeys((
-            "tau_values", "gamma1_values", "gamma2_values", "lambda_values",
-            "seeds", "include_equal_sigma",
-        )),
-        "output": dict.fromkeys(("out_dir", "format")),
+# the sections and keys a config may hold; the three TV commands share
+# them, so one file can drive them all.  A key maps to the TVInstance
+# field it sets (a missing key keeps that field's default), or to None
+# when the commands read it themselves
+_KEYS = {
+    "image": {"n1": "n1", "n2": "n2", "peak": "peak", "source": None},
+    "blur": {"size": "blur_size", "std": "blur_std"},
+    "noise": {"std_rel": "noise_std_rel"},
+    "solver": {
+        "tau": None, "sigma1": None, "sigma2": None, "sigma3": None,
+        "gamma1": None, "gamma2": None, "alpha": "alpha", "lambda": None,
+        "eps": "eps", "max_iter": "max_iter", "seed": None,
     },
-    # a toy saddle problem for diagnose; n1 is its dimension
-    "identity": {"image": {"n1": None},
-                 "solver": dict.fromkeys(("problem", "tau", "sigma"))},
+    "sweep": dict.fromkeys((
+        "tau_values", "gamma1_values", "gamma2_values", "lambda_values",
+        "seeds", "include_equal_sigma",
+    )),
+    "output": dict.fromkeys(("out_dir", "format")),
 }
 
 
@@ -88,12 +77,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str,
-                 problems: tuple[str, ...] = ("tv",)
-                 ) -> configparser.ConfigParser:
-    """The parsed file, once its ``[solver] problem`` (default ``tv``)
-    is one of ``problems`` and every section, key and ``[output]
-    format`` fits that problem's format."""
+def _load_config(path: str) -> configparser.ConfigParser:
+    """The parsed file, once every section and key is one of ``_KEYS``
+    and its ``[output] format`` is P2 or P5."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                    interpolation=None)
     try:
@@ -104,19 +90,13 @@ def _load_config(path: str,
         raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    problem = cp.get("solver", "problem", fallback="tv")
-    if problem not in problems:
-        raise ConfigError(f"this command does not solve problem = "
-                          f"{problem!r}; it solves {' or '.join(problems)}")
-    known = _FORMATS[problem]
     for section in cp.sections():
-        if section not in known:
-            raise ConfigError(f"section [{section}] does not apply to "
-                              f"problem = {problem}")
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in known[section]:
-                raise ConfigError(f"key {key!r} in section [{section}] "
-                                  f"does not apply to problem = {problem}")
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section "
+                                  f"[{section}]")
     fmt = cp.get("output", "format", fallback="P5")
     if fmt.upper() not in ("P2", "P5"):
         raise ConfigError(
@@ -171,13 +151,13 @@ def write_sweep_csv(path, rows) -> None:
 
 def _instance(cp: configparser.ConfigParser, overrides: argparse.Namespace,
               **fixed) -> TVInstance:
-    """The experiment a config describes: its keys that ``_FORMATS``
+    """The experiment a config describes: its keys that ``_KEYS``
     maps to ``TVInstance`` fields, then ``--eps`` and ``--max-iter``
     where the command has them, then the fields in ``fixed``."""
     kinds = {f.name: type(f.default) for f in fields(TVInstance)}
     kwargs = {
         name: kinds[name](cp[section][key])
-        for section, keys in _FORMATS["tv"].items()
+        for section, keys in _KEYS.items()
         for key, name in keys.items()
         if name is not None and cp.has_option(section, key)
     }
@@ -366,22 +346,8 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     try:
-        cp = _load_config(args.config, ("tv", "identity"))
-        if cp.get("solver", "problem", fallback="tv") == "tv":
-            cfg, observed, R, _ = _tv_setup(cp, args)
-            problem = build_problem(cfg, observed, R)
-        else:
-            dim = cp.getint("image", "n1", fallback=4)
-            if dim < 1:
-                raise ConfigError(f"n1 must be at least 1, got {dim}")
-            tau = cp.getfloat("solver", "tau", fallback=1.0)
-            sig = cp.getfloat("solver", "sigma", fallback=1.0)
-            problem = PDProblem(
-                A=zero_operator(),
-                blocks=((zero_operator(), identity_op(dim)),),
-                upsilon=scalar_precond(tau, dim),
-                sigmas=(scalar_precond(sig, dim),),
-            )
+        cfg, observed, R, _ = _tv_setup(_load_config(args.config), args)
+        problem = build_problem(cfg, observed, R)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

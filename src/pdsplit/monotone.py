@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DENSE_DIM_LIMIT, HVector, LinOp, Precond
+from .linalg import DENSE_DIM_LIMIT, HVector, LinOp, Precond, inner
 
 __all__ = [
     "MonotoneOp",
@@ -138,14 +138,14 @@ class QuadraticDataFit:
         """
         if not self._fft:
             r = self.R.forward(x) - self._b
-            return 0.5 * float(r @ r)
+            return 0.5 * inner(r, r)
         n1, n2 = self.R.grid_shape
         spec = np.fft.rfft2(x.reshape(n1, n2), out=self._spec)
         spec *= self.R.fft_symbol
         spec -= self._b_hat
         flat = self._spec_parts.reshape(-1)
         alone = (0,) if n2 % 2 else (0, n2 // 2)
-        total = 2.0 * float(flat @ flat) - sum(
+        total = 2.0 * inner(flat, flat) - sum(
             float(np.vdot(spec[:, k], spec[:, k]).real) for k in alone
         )
         return 0.5 * total / (n1 * n2)

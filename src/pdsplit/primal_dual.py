@@ -22,6 +22,7 @@ from .linalg import (
     LinOp,
     Precond,
     as_flat,
+    inner,
     power_iteration_sqnorm,
 )
 from .monotone import MonotoneOp, dual_resolvent
@@ -130,8 +131,8 @@ class PDProblem:
         to ||z||^2, which indicates the step-size condition is violated
         and V is not monotone.
         """
-        quad = float(z @ self.metric(z))
-        nsq = float(z @ z)
+        quad = inner(z, self.metric(z))
+        nsq = inner(z, z)
         if quad < -1e-10 * nsq:
             raise ValueError(
                 f"quadratic form is negative ({quad:.3e} for "

@@ -573,14 +573,15 @@ class SweepGrid:
 
 SWEEP_COLUMNS = (
     "tau", "sigma1", "sigma2", "sigma3", "lambda", "seed",
-    "iterations", "converged", "final_residual", "objective",
-    "psnr", "wall_ms", "error",
+    "iterations", "converged", "stop_reason", "final_residual",
+    "objective", "psnr", "wall_ms", "error",
 )
 
 
 def _run_cell(cfg, observed, R, clean):
-    """One sweep row; a cell that raises keeps the default NaN row and
-    its ``error`` holds the exception class and message."""
+    """One sweep row; a cell that raises keeps the default NaN row,
+    with an empty ``stop_reason``, and its ``error`` holds the
+    exception class and message."""
     row = {
         "tau": cfg.tau,
         "sigma1": cfg.sigma1,
@@ -590,6 +591,7 @@ def _run_cell(cfg, observed, R, clean):
         "seed": cfg.seed,
         "iterations": 0,
         "converged": False,
+        "stop_reason": "",
         "final_residual": math.nan,
         "objective": math.nan,
         "psnr": math.nan,
@@ -602,6 +604,7 @@ def _run_cell(cfg, observed, R, clean):
         row.update(
             iterations=run.iterations,
             converged=run.converged,
+            stop_reason=run.stop_reason,
             final_residual=run.final_residual,
             objective=run.objective,
             psnr=psnr(run.image, clean),

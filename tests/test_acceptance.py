@@ -336,6 +336,30 @@ def test_criterion_08_distinct_sigma_trend(tv_instance):
               f"({100 * (1 - best / ref):.2f}% fewer)")
 
 
+def test_critical_cell_needs_no_more_iterations_than_half_steps(
+        tv_instance):
+    # the acceptance cell on the critical boundary against the same
+    # cell with every sigma halved, and with tau alone halved: both sit
+    # at half the boundary
+    _, blur, observed = tv_instance
+    critical = tv_config(1.9, eps=1e-5)
+    cells = {
+        "critical": critical,
+        "0.5 sigma": dataclasses.replace(
+            critical, sigma1=0.5 * critical.sigma1,
+            sigma2=0.5 * critical.sigma2, sigma3=0.5 * critical.sigma3),
+        "0.5 tau": dataclasses.replace(critical, tau=0.5 * TAU),
+    }
+    iterations = {}
+    for name, cfg in cells.items():
+        run = run_tv_solver(cfg, observed, blur)
+        assert run.converged
+        iterations[name] = run.iterations
+    assert iterations["critical"] <= min(iterations["0.5 sigma"],
+                                         iterations["0.5 tau"])
+    print(f"\nCRITICAL GAIN PASS: iterations {iterations}")
+
+
 def test_criterion_09_fixed_point_transport():
     rng = np.random.default_rng(909)
     t0 = time.perf_counter()

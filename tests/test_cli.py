@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import cli
-from pdsplit.cli import _FORMATS, main
+from pdsplit.cli import _KEYS, main
 from pdsplit.pgm import read_pgm
 
 SOLVE_CONFIG = """
@@ -55,6 +55,8 @@ max_iter = 20000
 out_dir = {out}
 """
 
+# a file of the toy identity problem diagnose once read: its [solver]
+# problem key is now unknown, whatever else the file holds
 IDENTITY_CONFIG = """
 [image]
 n1 = 4
@@ -282,7 +284,7 @@ class TestSolveTV:
         pytest.param("diagnose",
                      {"out_dir = {out}": "out_dir = {out}\nformat = P7"},
                      id="diagnose-extra37"),
-        # the identity problem reads no gammas
+        # [solver] problem is an unknown key, with or without gammas
         pytest.param("diagnose",
                      {"[solver]\n": "[solver]\nproblem = identity\n"},
                      id="diagnose-extra38"),
@@ -297,8 +299,8 @@ class TestSolveTV:
                      id="solve-tv-extra42"),
         pytest.param("sweep", {"alpha = 0.01": "alpha = inf"},
                      id="sweep-extra43"),
-        # a key outside the identity problem's format (IDENTITY_CONFIG
-        # itself passes diagnose), or one outside the TV format
+        # a file of the former identity format, and a key outside the
+        # TV format
         pytest.param("diagnose", IDENTITY_CONFIG + "alpha = -7\n",
                      id="diagnose-identity-alpha"),
         pytest.param("diagnose", IDENTITY_CONFIG + "lambda = 9\n",
@@ -317,13 +319,13 @@ class TestSolveTV:
         pytest.param("solve-tv",
                      {"alpha = 0.01": "alpha = 0.01\nsigma = 123"},
                      id="solve-tv-extra51"),
-        # the identity problem's own checks, on a file of its format
+        # files of the former identity format, and a problem key on
+        # every command
         pytest.param("diagnose", IDENTITY_CONFIG.replace("n1 = 4", "n1 = 0"),
                      id="diagnose-identity-n1"),
         pytest.param("diagnose",
                      IDENTITY_CONFIG.replace("tau = 0.5", "tau = nan"),
                      id="diagnose-identity-tau-nan"),
-        # a problem the command does not solve
         pytest.param("solve-tv", IDENTITY_CONFIG, id="solve-tv-identity"),
         pytest.param("sweep",
                      {"[solver]\n": "[solver]\nproblem = identity\n"},
@@ -331,6 +333,9 @@ class TestSolveTV:
         pytest.param("diagnose",
                      {"[solver]\n": "[solver]\nproblem = bogus\n"},
                      id="diagnose-extra56"),
+        pytest.param("solve-tv",
+                     {"[solver]\n": "[solver]\nproblem = tv\n"},
+                     id="solve-tv-problem-tv"),
         # an infinite peak or noise level has no image; an infinite tau
         # gives zero sigmas
         pytest.param("sweep", {"peak = 1.0": "peak = inf"},
@@ -611,12 +616,12 @@ class TestSweepCommand:
             rows = list(csv.reader(f))
         assert rows[0] == [
             "tau", "sigma1", "sigma2", "sigma3", "lambda", "seed",
-            "iterations", "converged", "final_residual", "objective",
-            "psnr", "wall_ms", "error",
+            "iterations", "converged", "stop_reason", "final_residual",
+            "objective", "psnr", "wall_ms", "error",
         ]
         assert len(rows) == 3  # header + gamma cell + equal-sigma cell
-        assert all(r[7] == "true" for r in rows[1:])
-        assert all(r[12] == "" for r in rows[1:])
+        assert all(r[7] == "true" and r[8] == "eps" for r in rows[1:])
+        assert all(r[13] == "" for r in rows[1:])
 
     def test_lambda_and_seed_options_replace_the_config(self, tmp_path):
         out = tmp_path / "out"
@@ -717,14 +722,22 @@ class TestDRSCheckCommand:
 
 
 class TestDiagnoseCommand:
-    def test_identity_instance_not_critical(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, IDENTITY_CONFIG)
+    def test_half_boundary_tv_config_not_critical(self, tmp_path, capsys):
+        # equal sigmas at half the critical boundary of an 8 x 8 grid:
+        # V is positive definite, so its kernel is empty
+        from pdsplit import gradient_norm_sq
+
+        sigma = 0.5 / (0.4 * (1.0 + 2.0 * gradient_norm_sq(8)))
+        text = ("[image]\nn1 = 8\nn2 = 8\n[blur]\nsize = 3\n[solver]\n"
+                "tau = 0.4\n" + "".join(f"sigma{i} = {sigma!r}\n"
+                                        for i in (1, 2, 3)))
+        cfg = write_config(tmp_path, text)
         rc = main(["diagnose", "--config", cfg])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "step_condition_estimate=0.500000" in out
-        assert "critical=false" in out
-        assert "rank=" in out
+        assert "step_condition_estimate=0.500000" in out.splitlines()
+        assert "critical=false" in out.splitlines()
+        assert out.rstrip().endswith(" kernel_dim=0")
 
     def test_tv_config_critical_with_dense_skip(self, tmp_path, capsys):
         text = """
@@ -764,13 +777,16 @@ gamma2 = 0.01
         rc = main(["diagnose", "--config", cfg])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "rank=" in out and "kernel_dim=" in out
+        # the critical preconditioner leaves V a one-dimensional kernel
+        assert "critical=true" in out.splitlines()
+        assert out.rstrip().endswith(" kernel_dim=1")
 
     def test_run_options_are_unknown_flags(self, tmp_path, capsys):
         # diagnose reads only --config: neither the step condition nor V
         # reads the noise that --seed draws, and the solver's run options
         # are rejected like any unknown flag
-        cfg = write_config(tmp_path, "[solver]\nproblem = identity\n")
+        cfg = write_config(tmp_path, "[image]\nn1 = 8\nn2 = 8\n[blur]\n"
+                                     "size = 3\n")
         for flag, value in (("--eps", "3"), ("--lambda", "1.5"),
                             ("--max-iter", "7"), ("--out-dir", "zzz"),
                             ("--seed", "5")):
@@ -795,8 +811,7 @@ SMALL_TV = {
               "gamma2_values": "0.01", "lambda_values": "1.9",
               "seeds": "0", "include_equal_sigma": "false"},
 }
-TV_KEYS = [(section, key) for section, keys in _FORMATS["tv"].items()
-           for key in keys]
+TV_KEYS = [(section, key) for section, keys in _KEYS.items() for key in keys]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,

@@ -432,9 +432,20 @@ class TestSweep:
         inst = TVInstance(n1=16, n2=16, peak=1.0, eps=1e-12, max_iter=1)
         rows = sweep(dataclasses.replace(grid, seeds=(0,)).configs(inst), inst)
         assert all(not r["converged"] for r in rows)
+        assert all(r["stop_reason"] == "max_iter" for r in rows)
         assert all(r["error"] == "" for r in rows)
-        # a cell that raises gives a NaN row naming the exception
+        # a non-finite step ends the cell with its own stop reason
         import pdsplit.tv as tv_mod
+
+        with monkeypatch.context() as m:
+            m.setattr(QuadraticDataFit, "resolvent",
+                      lambda self, tau, x: np.full_like(x, np.inf))
+            with np.errstate(invalid="ignore"):
+                rows = sweep(dataclasses.replace(grid, seeds=(0,))
+                             .configs(inst), inst)
+        assert all(r["stop_reason"] == "nonfinite" and not r["converged"]
+                   and r["error"] == "" for r in rows)
+        # a cell that raises gives a NaN row naming the exception
 
         def boom(*args, **kwargs):
             raise RuntimeError("solver exploded")
@@ -445,6 +456,7 @@ class TestSweep:
         for r in rows:
             assert r["error"] == "RuntimeError: solver exploded"
             assert r["iterations"] == 0 and not r["converged"]
+            assert r["stop_reason"] == ""
             assert math.isnan(r["objective"])
 
 
