@@ -36,7 +36,6 @@ from .monotone import (
     zero_operator,
 )
 from .km import (
-    IterTrace,
     KMResult,
     Monitor,
     RelaxationSchedule,

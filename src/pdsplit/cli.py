@@ -24,6 +24,7 @@ import csv
 import math
 import sys
 from dataclasses import fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -120,18 +121,16 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def write_trace_csv(path, trace) -> None:
-    """Per-iteration trace; deliberately excludes wall time so reruns
-    with the same seed are byte-identical."""
+def write_trace_csv(path, run) -> None:
+    """One row per update of ``run``: residual and objective (empty where
+    none was recorded), but no wall time, so reruns are byte-identical."""
+    objectives = [] if run.objectives is None else run.objectives.tolist()
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(TRACE_COLUMNS)
-        for n, row in enumerate(trace):
-            w.writerow([
-                n,
-                repr(row.residual),
-                "" if row.objective is None else repr(row.objective),
-            ])
+        for n, (r, obj) in enumerate(zip_longest(run.residuals.tolist(),
+                                                 objectives)):
+            w.writerow([n, repr(r), "" if obj is None else repr(obj)])
 
 
 def write_sweep_csv(path, rows) -> None:
@@ -236,7 +235,7 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
         maxval=255,
         ascii_format=cp.get("output", "format", fallback="").upper() == "P2",
     )
-    write_trace_csv(out_dir / "trace.csv", run.trace)
+    write_trace_csv(out_dir / "trace.csv", run)
     quality = psnr(run.image, clean) if clean is not None else math.nan
     print(
         f"iterations={run.iterations} converged={run.converged} "

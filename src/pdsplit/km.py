@@ -13,8 +13,8 @@ observer; the V-seminorm monitors of a primal-dual problem live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .linalg import as_flat, inner
 
 __all__ = [
     "RelaxationSchedule",
-    "IterTrace",
     "KMResult",
     "Monitor",
     "km_iterate",
@@ -61,24 +60,18 @@ class RelaxationSchedule:
         return vals[n] if n < len(vals) else vals[-1]
 
 
-@dataclass(frozen=True)
-class IterTrace:
-    """Per-iteration record: relative step residual and optional
-    objective value; row n of ``KMResult.trace`` is update n."""
-
-    residual: float
-    objective: Optional[float] = None
-
-
 @dataclass
 class KMResult:
-    """Final flat state, per-iteration trace (row n records update n)
-    and why the run stopped: ``"eps"`` (the residual met eps),
-    ``"max_iter"`` or ``"nonfinite"`` (a step produced a non-finite
-    residual; ``state`` is the last finite iterate)."""
+    """Final flat state, the run's record and why it stopped:
+    ``residuals[n]`` is update n's relative step, ``objectives[n]`` its
+    objective (None without an objective function), and ``stop_reason``
+    is ``"eps"`` (the residual met eps), ``"max_iter"`` or
+    ``"nonfinite"`` (a step gave a NaN residual and no objective;
+    ``state`` is the last finite iterate)."""
 
     state: np.ndarray
-    trace: list[IterTrace] = field(default_factory=list)
+    residuals: np.ndarray
+    objectives: np.ndarray | None = None
     stop_reason: str = "max_iter"
 
     @property
@@ -87,11 +80,11 @@ class KMResult:
 
     @property
     def iterations(self) -> int:
-        return len(self.trace)
+        return len(self.residuals)
 
     @property
     def final_residual(self) -> float:
-        return self.trace[-1].residual if self.trace else math.inf
+        return float(self.residuals[-1])
 
 
 class Monitor:
@@ -146,7 +139,9 @@ def km_iterate(
     z_next = np.empty_like(z)
     for m in monitors:
         m.start(z)
-    trace: list[IterTrace] = []
+    # plain lists: max_iter comes from config files and may be huge
+    residuals: list[float] = []
+    objectives = None if objective_fn is None else []
     stop = "max_iter"
     surrogate = 0.0
     nz = _norm(z)
@@ -158,7 +153,7 @@ def km_iterate(
         np.subtract(sz, z, out=z_next)
         step = _norm(z_next)
         if not math.isfinite(step):
-            trace.append(IterTrace(math.nan))
+            residuals.append(math.nan)
             stop = "nonfinite"
             break
         # from z = 0 only an exact fixed point has a finite step
@@ -167,11 +162,15 @@ def km_iterate(
         z_next += z
         for m in monitors:
             m.observe(n, z, sz, z_next)
-        obj = objective_fn(z_next) if objective_fn is not None else None
-        trace.append(IterTrace(r, obj))
+        residuals.append(r)
+        if objectives is not None:
+            objectives.append(objective_fn(z_next))
         z, z_next = z_next, z
         nz = _norm(z)
         if eps is not None and surrogate >= DIVERGENCE_FLOOR and r < eps:
             stop = "eps"
             break
-    return KMResult(state=z, trace=trace, stop_reason=stop)
+    if objectives is not None:
+        objectives = np.array(objectives, dtype=np.float64)
+    return KMResult(z, np.array(residuals, dtype=np.float64), objectives,
+                    stop)

@@ -373,8 +373,8 @@ def run_tv_solver(
     by a relaxation-sized margin mid-run, while one extra resolvent
     application lands inside it.  The result's ``objective`` is
     ``tv_objective`` of that image, scored with the solve's own data
-    fit and difference blocks; with ``record_objective`` each trace row
-    carries the same formula on its primal iterate.
+    fit and difference blocks; with ``record_objective`` its
+    ``objectives`` hold the same formula on each primal iterate.
     """
     fit = QuadraticDataFit(R, HVector(observed.pixels))
     problem = build_problem(cfg, observed, R, fit)
@@ -491,10 +491,10 @@ class TVConfig:
     the defaults of ``TVInstance``.
 
     It checks its own values: eps positive and finite, max_iter at
-    least 1, alpha nonnegative and finite, relaxation in [0, 2] and
-    step sizes of at least the smallest normal float.  The boundary
-    condition tau * (sigma1*||D1||^2 + sigma2*||D2||^2 + sigma3)
-    <= 1 + primal_dual.COND_TOL depends on the grid, so
+    least 1, alpha nonnegative and finite, relaxation in [0, 2], seed
+    nonnegative and step sizes of at least the smallest normal float.
+    The boundary condition tau * (sigma1*||D1||^2 + sigma2*||D2||^2 +
+    sigma3) <= 1 + primal_dual.COND_TOL depends on the grid, so
     ``build_problem`` and ``TVInstance.config`` enforce it.
     """
 
@@ -524,6 +524,8 @@ class TVConfig:
                              f"got {self.alpha}")
         if not 0.0 <= self.relaxation <= 2.0:
             raise ValueError(f"relaxation {self.relaxation} outside [0, 2]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         steps = (self.tau, self.sigma1, self.sigma2, self.sigma3)
         # a subnormal step has an infinite inverse in the metric V
         if not all(s >= np.finfo(float).tiny for s in steps):

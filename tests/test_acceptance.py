@@ -292,12 +292,12 @@ def test_criterion_07_relaxation_trend(relaxation_runs):
 
 def test_trace_objective_is_the_restored_objective(tv_instance,
                                                    relaxation_runs):
-    # the last trace row's objective is that of the restored image, by
+    # the last recorded objective is that of the restored image, by
     # the solve's own data fit and by the direct residual alike
     _, blur, observed = tv_instance
     for lam in (1.0, 1.9):
         run, _ = relaxation_runs[lam]
-        last = run.trace[-1].objective
+        last = run.objectives[-1]
         x = run.image.pixels
         assert last == pytest.approx(run.objective, rel=1e-12)
         r = blur.forward(x.ravel()) - observed.pixels.ravel()
@@ -402,8 +402,8 @@ def test_criterion_10_determinism(tv_instance, relaxation_runs,
                               record_objective=True)
         a = out / f"first_{lam}.csv"
         b = out / f"rerun_{lam}.csv"
-        write_trace_csv(a, first.trace)
-        write_trace_csv(b, rerun.trace)
+        write_trace_csv(a, first)
+        write_trace_csv(b, rerun)
         assert a.read_bytes() == b.read_bytes()
     report(10, "reruns with identical seeds produced byte-identical "
                "trace CSVs for both relaxations")

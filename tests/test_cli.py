@@ -193,6 +193,9 @@ class TestSolveTV:
         assert captured.err == ""
         assert "iterations=1 converged=False" in captured.out
         assert captured.out.rstrip().endswith("stop=nonfinite")
+        # the step's residual is NaN and it records no objective
+        assert (tmp_path / "o" / "trace.csv").read_bytes() \
+            == b"n,residual,objective\r\n0,nan,\r\n"
 
     # ``extra`` is command-line arguments, edits {old: new} of the
     # command's config text, or a whole config text.  Each input has
@@ -223,9 +226,7 @@ class TestSolveTV:
         pytest.param("drs-check", ["--seed", "-1"], id="drs-check-extra14"),
         pytest.param("sweep", {"seeds = 0": "seeds = 0 -3"},
                      id="sweep-extra15"),
-        pytest.param("diagnose",
-                     {"n1 = 32": "n1 = 0",
-                      "[solver]\n": "[solver]\nproblem = identity\n"},
+        pytest.param("diagnose", {"n1 = 32": "n1 = 0"},
                      id="diagnose-extra16"),
         # sweep rows score PSNR against the clean synthetic image
         pytest.param("sweep",
@@ -239,9 +240,7 @@ class TestSolveTV:
                      id="solve-tv-extra19"),
         pytest.param("solve-tv", {"alpha = 0.01": "alpha = nan"},
                      id="solve-tv-extra20"),
-        pytest.param("diagnose",
-                     {"[solver]\n": "[solver]\nproblem = identity\n",
-                      "tau = 0.4": "tau = nan"},
+        pytest.param("diagnose", {"tau = 0.4": "tau = nan"},
                      id="diagnose-extra21"),
         pytest.param("sweep", {"alpha = 0.01": "alpha = nan"},
                      id="sweep-extra22"),
@@ -284,14 +283,18 @@ class TestSolveTV:
         pytest.param("diagnose",
                      {"out_dir = {out}": "out_dir = {out}\nformat = P7"},
                      id="diagnose-extra37"),
-        # [solver] problem is an unknown key, with or without gammas
+        # [solver] problem is an unknown key on every command, and
+        # stops a file before anything else in it is read
         pytest.param("diagnose",
                      {"[solver]\n": "[solver]\nproblem = identity\n"},
                      id="diagnose-extra38"),
-        pytest.param("diagnose",
-                     {"[solver]\n": "[solver]\nproblem = identity\n",
-                      "gamma1 = 0.6\n": ""},
-                     id="diagnose-extra39"),
+        pytest.param("solve-tv", IDENTITY_CONFIG, id="solve-tv-identity"),
+        pytest.param("sweep",
+                     {"[solver]\n": "[solver]\nproblem = identity\n"},
+                     id="sweep-extra55"),
+        pytest.param("solve-tv",
+                     {"[solver]\n": "[solver]\nproblem = tv\n"},
+                     id="solve-tv-problem-tv"),
         # eps = inf would pass the first step; alpha = inf has no solution
         pytest.param("solve-tv", ["--eps", "inf"], id="solve-tv-extra40"),
         pytest.param("sweep", ["--eps", "inf"], id="sweep-extra41"),
@@ -299,43 +302,10 @@ class TestSolveTV:
                      id="solve-tv-extra42"),
         pytest.param("sweep", {"alpha = 0.01": "alpha = inf"},
                      id="sweep-extra43"),
-        # a file of the former identity format, and a key outside the
-        # TV format
-        pytest.param("diagnose", IDENTITY_CONFIG + "alpha = -7\n",
-                     id="diagnose-identity-alpha"),
-        pytest.param("diagnose", IDENTITY_CONFIG + "lambda = 9\n",
-                     id="diagnose-identity-lambda"),
-        pytest.param("diagnose", IDENTITY_CONFIG + "eps = -1\n",
-                     id="diagnose-identity-eps"),
-        pytest.param("diagnose", IDENTITY_CONFIG + "max_iter = 0\n",
-                     id="diagnose-identity-max-iter"),
-        pytest.param("diagnose", IDENTITY_CONFIG + "\n[blur]\nsize = 3\n",
-                     id="diagnose-identity-blur"),
-        pytest.param("diagnose",
-                     IDENTITY_CONFIG + "\n[output]\nout_dir = nowhere\n",
-                     id="diagnose-identity-out-dir"),
-        pytest.param("diagnose", IDENTITY_CONFIG + "sigma1 = 0.5\n",
-                     id="diagnose-identity-sigma1"),
+        # a key outside the TV format
         pytest.param("solve-tv",
                      {"alpha = 0.01": "alpha = 0.01\nsigma = 123"},
                      id="solve-tv-extra51"),
-        # files of the former identity format, and a problem key on
-        # every command
-        pytest.param("diagnose", IDENTITY_CONFIG.replace("n1 = 4", "n1 = 0"),
-                     id="diagnose-identity-n1"),
-        pytest.param("diagnose",
-                     IDENTITY_CONFIG.replace("tau = 0.5", "tau = nan"),
-                     id="diagnose-identity-tau-nan"),
-        pytest.param("solve-tv", IDENTITY_CONFIG, id="solve-tv-identity"),
-        pytest.param("sweep",
-                     {"[solver]\n": "[solver]\nproblem = identity\n"},
-                     id="sweep-extra55"),
-        pytest.param("diagnose",
-                     {"[solver]\n": "[solver]\nproblem = bogus\n"},
-                     id="diagnose-extra56"),
-        pytest.param("solve-tv",
-                     {"[solver]\n": "[solver]\nproblem = tv\n"},
-                     id="solve-tv-problem-tv"),
         # an infinite peak or noise level has no image; an infinite tau
         # gives zero sigmas
         pytest.param("sweep", {"peak = 1.0": "peak = inf"},
@@ -375,6 +345,11 @@ class TestSolveTV:
         # a source image with samples above its maxval
         pytest.param("solve-tv", {"source = synthetic": "source = over.pgm"},
                      id="solve-tv-source-above-maxval"),
+        # a negative noise seed, named by its key
+        pytest.param("solve-tv", {"seed = 3": "seed = -1"},
+                     id="solve-tv-seed-negative"),
+        pytest.param("diagnose", {"seed = 3": "seed = -1"},
+                     id="diagnose-seed-negative"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, monkeypatch,
                                          command, extra):

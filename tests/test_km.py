@@ -59,14 +59,14 @@ class TestKMIterate:
         assert res.converged
         assert res.stop_reason == "eps"
         np.testing.assert_allclose(res.state, c.data)
-        assert res.trace[1].residual == 0.0
+        assert res.residuals[1] == 0.0
 
     def test_exact_fixed_point_at_zero_converges(self):
         res = km_iterate(lambda z: np.zeros_like(z), np.zeros(3),
                          RelaxationSchedule.constant(1.0), 1e-8, 50)
         assert res.stop_reason == "eps"
         assert res.iterations == 1
-        assert res.trace[0].residual == 0.0
+        assert res.residuals[0] == 0.0
 
     def test_geometric_decay(self):
         s = lambda z: 0.5 * z
@@ -97,7 +97,7 @@ class TestKMIterate:
         assert not res.converged
         assert res.stop_reason == "max_iter"
         assert res.iterations == 10
-        assert len(res.trace) == 10
+        assert len(res.residuals) == 10
 
     def test_nonfinite_step_stops_at_last_finite_iterate(self):
         z0 = hvector([1.0, -2.0])
@@ -108,6 +108,32 @@ class TestKMIterate:
         assert res.iterations == 1
         assert math.isnan(res.final_residual)
         assert (res.state == z0.data).all()
+
+    @pytest.mark.parametrize("with_objective", [False, True])
+    def test_record_arrays_on_nonfinite_stop(self, with_objective):
+        # two finite steps, then a non-finite one: it records a NaN
+        # residual and no objective
+        calls = []
+
+        def s(z):
+            calls.append(None)
+            return 0.5 * z if len(calls) < 3 else np.full_like(z, np.inf)
+
+        res = km_iterate(
+            s, np.ones(2), RelaxationSchedule.constant(1.0), 1e-8, 10,
+            objective_fn=(lambda z: float(z @ z)) if with_objective else None,
+        )
+        assert res.stop_reason == "nonfinite"
+        assert isinstance(res.residuals, np.ndarray)
+        assert res.residuals.dtype == np.float64
+        assert len(res.residuals) == res.iterations == 3
+        assert np.isfinite(res.residuals[:2]).all()
+        assert math.isnan(res.residuals[-1])
+        if with_objective:
+            assert res.objectives.dtype == np.float64
+            assert res.objectives.tolist() == [0.5, 0.125]
+        else:
+            assert res.objectives is None
 
     def test_step_norms_nonincreasing_for_averaged_map(self, rng):
         dim = 6
@@ -137,8 +163,7 @@ class TestKMIterate:
         r2 = km_iterate(affine_map(mat, shift), z0, sched, 1e-10, 100)
         assert r1.iterations == r2.iterations
         assert (r1.state == r2.state).all()
-        assert [t.residual for t in r1.trace] \
-            == [t.residual for t in r2.trace]
+        assert (r1.residuals == r2.residuals).all()
 
     def test_zero_relaxation_never_converges(self):
         # lambda = 0 leaves z unchanged: the step is zero, not converged
@@ -146,7 +171,7 @@ class TestKMIterate:
                          RelaxationSchedule.constant(0.0), 1e-8, 7)
         assert not res.converged
         assert res.iterations == 7
-        assert all(t.residual == 0.0 for t in res.trace)
+        assert (res.residuals == 0.0).all()
 
     # the identity map has a zero step from the start: the run stops
     # once sum(lambda_n (2 - lambda_n)) over the steps taken reaches 1
@@ -160,7 +185,7 @@ class TestKMIterate:
     def test_stops_once_the_km_sum_reaches_one(self, values, stop_at):
         res = km_iterate(lambda z: z, np.ones(2),
                          RelaxationSchedule.from_sequence(values), 1e-8, 20)
-        assert all(t.residual == 0.0 for t in res.trace)
+        assert (res.residuals == 0.0).all()
         if stop_at is None:
             assert res.stop_reason == "max_iter" and res.iterations == 20
         else:
@@ -181,8 +206,8 @@ class TestKMIterate:
             s, hvector([2.0]), RelaxationSchedule.constant(1.0), 1e-30, 5,
             objective_fn=lambda z: float(z[0] ** 2),
         )
-        assert res.trace[0].objective == pytest.approx(1.0)
-        assert res.trace[1].objective == pytest.approx(0.25)
+        assert res.objectives[0] == pytest.approx(1.0)
+        assert res.objectives[1] == pytest.approx(0.25)
 
 
 class TestMonitors:

@@ -236,6 +236,10 @@ class TestTVConfig:
         with pytest.raises(ValueError):
             TVConfig(**{**steps, **bad})
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative"):
+            TVConfig(0.4, 0.1, 0.1, 0.1, seed=-1)
+
     def test_defaults_are_the_instance_defaults(self):
         cfg, inst = TVConfig(0.4, 0.1, 0.1, 0.1), TVInstance()
         for name in ("alpha", "eps", "max_iter", "blur_size", "blur_std",
@@ -302,7 +306,7 @@ class TestRunSolver:
         cfg = boundary_config(16, lam=1.0, eps=1e-8)
         run = run_tv_solver(cfg, observed, R, record_objective=True)
         assert run.converged
-        objs = [t.objective for t in run.trace[-100:]]
+        objs = run.objectives[-100:].tolist()
         for a, b in zip(objs[:-1], objs[1:]):
             assert b <= a + 1e-10 * (1.0 + abs(a))
 
