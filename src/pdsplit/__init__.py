@@ -27,7 +27,6 @@ from .monotone import (
     QuadraticDataFit,
     UnsupportedPreconditionerError,
     box_operator,
-    data_fit_operator,
     dual_resolvent,
     l1_operator,
     monotone_linear,

@@ -33,7 +33,7 @@ from .drs import DRSProblem, equivalence_deviation
 from .km import RelaxationSchedule
 from .linalg import DENSE_DIM_LIMIT, dense_range_diagnostics, scalar_precond
 from .monotone import monotone_linear
-from .pgm import read_pgm, write_pgm
+from .pgm import MAXVAL, read_pgm, write_pgm
 from .primal_dual import step_condition
 from .tv import (
     ImageGrid,
@@ -231,8 +231,7 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
     # quantize the dynamic range [0, peak] onto the 8-bit scale
     write_pgm(
         out_dir / "restored.pgm",
-        run.image.pixels * (255.0 / observed.peak),
-        maxval=255,
+        run.image.pixels * (MAXVAL / observed.peak),
         ascii_format=cp.get("output", "format", fallback="").upper() == "P2",
     )
     write_trace_csv(out_dir / "trace.csv", run)
@@ -305,6 +304,7 @@ def cmd_drs_check(args: argparse.Namespace) -> int:
     # and keeps both sequences (0.8 KB a step at --dims 16): at the last
     # bound below that is 5-6 s and at most 0.2 GB
     for bad, rule in (
+        (args.seed < 0, "--seed must be nonnegative"),
         (args.dims < 1, "--dims must be at least 1"),
         (args.iters < 1, "--iters must be at least 1"),
         (args.instances < 0, "--instances must be at least 0"),
@@ -405,9 +405,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "needs_config", False) and not args.config:
         print("config error: --config is required", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("config error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_CONFIG
     return args.func(args)
 

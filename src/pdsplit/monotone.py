@@ -35,7 +35,6 @@ __all__ = [
     "monotone_linear",
     "l1_operator",
     "box_operator",
-    "data_fit_operator",
 ]
 
 class UnsupportedPreconditionerError(ValueError):
@@ -64,6 +63,9 @@ class MonotoneOp:
     set, is the closed form of the resolvent (Id + Sigma A^{-1})^{-1} u
     that ``dual_resolvent`` uses: it writes into ``out`` (a new array
     when None; ``u`` itself is allowed) and returns it.
+
+    These two attributes are the whole interface that ``pd_resolvent``
+    and ``dual_resolvent`` read; ``QuadraticDataFit`` provides it too.
     """
 
     resolvent: Callable[[Precond, np.ndarray], np.ndarray]
@@ -92,22 +94,25 @@ def project_box(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 class QuadraticDataFit:
-    """Least-squares data-fit term 0.5*||R y - b||^2: its value and its
-    resolvent.
+    """Least-squares data-fit term 0.5*||R y - b||^2: its value, and its
+    gradient as a monotone operator, exposed as ``MonotoneOp`` is.
 
-    The resolvent at step tau solves (Id + tau R*R) y = x + tau R*b.
-    When R is a real periodic convolution (``fft_symbol`` set on the
-    operator) the solve is diagonalized by the real FFT, which stores
-    half the spectrum, and the instance also keeps b's spectrum;
-    otherwise the dense inverse of Id + tau R*R is formed once per
-    step size, limited to moderate dimensions.  The solver and tau R*b
-    are kept per step size.  The right-hand side and its spectrum are
-    formed in buffers owned by the instance, and the FFT solve writes
-    its solution over the right-hand side once the spectrum holds it:
-    the FFT resolvent returns that buffer, which the next call
-    overwrites, and one instance must not be used from two threads at
-    once.
+    The resolvent at a scalar preconditioner tau solves
+    (Id + tau R*R) y = x + tau R*b.  When R is a real periodic
+    convolution (``fft_symbol`` set on the operator) the solve is
+    diagonalized by the real FFT, which stores half the spectrum, and
+    the instance also keeps b's spectrum; otherwise the dense inverse
+    of Id + tau R*R is formed once per step size, limited to moderate
+    dimensions.  The solver and tau R*b are kept per step size.  The
+    right-hand side and its spectrum are formed in buffers owned by
+    the instance, and the FFT solve writes its solution over the
+    right-hand side once the spectrum holds it: the FFT resolvent
+    returns that buffer, which the next call overwrites, and one
+    instance must not be used from two threads at once.
     """
+
+    # no closed form: as a dual block it would take the Moreau path
+    conj_resolvent = None
 
     def __init__(self, R: LinOp, b: HVector):
         if R.cod_dim != b.data.size:
@@ -166,7 +171,12 @@ class QuadraticDataFit:
             solver = np.linalg.inv(np.eye(self.R.dom_dim) + tau * (m.T @ m))
         return solver, tau * self.R.adjoint(self._b)
 
-    def resolvent(self, tau: float, x: np.ndarray) -> np.ndarray:
+    def resolvent(self, p: Precond, x: np.ndarray) -> np.ndarray:
+        tau = _diagonal(p, "quadratic data-fit")
+        if isinstance(tau, np.ndarray):
+            raise UnsupportedPreconditionerError(
+                "quadratic data-fit resolvent needs a scalar preconditioner"
+            )
         if tau <= 0:
             raise ValueError("step size must be positive")
         cached = self._solver_cache.get(tau)
@@ -281,17 +291,3 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
         return np.subtract(u, np.clip(u, s * lo, s * hi), out=out)
 
     return MonotoneOp(res, conj)
-
-
-def data_fit_operator(q: QuadraticDataFit) -> MonotoneOp:
-    """Gradient of the quadratic data-fit term as a monotone operator."""
-
-    def res(p: Precond, x: np.ndarray) -> np.ndarray:
-        tau = _diagonal(p, "quadratic data-fit")
-        if isinstance(tau, np.ndarray):
-            raise UnsupportedPreconditionerError(
-                "quadratic data-fit resolvent needs a scalar preconditioner"
-            )
-        return q.resolvent(tau, x)
-
-    return MonotoneOp(res)

@@ -1,7 +1,8 @@
 """Plain PGM image input/output (binary P5 and ASCII P2, 8-bit).
 
-Pixels are clamped to [0, maxval] and rounded on write only; reads
-return float64 grids with the file's maxval as the dynamic range.
+Pixels are clamped to [0, 255] and rounded on write only, which
+always writes maxval 255; reads return float64 grids with the file's
+maxval as the dynamic range.
 """
 
 from __future__ import annotations
@@ -9,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["read_pgm", "write_pgm"]
+
+# 8-bit samples: the largest maxval read and the maxval written
+MAXVAL = 255
 
 
 def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -49,7 +53,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if magic not in (b"P5", b"P2"):
         raise ValueError(f"unsupported PGM magic {magic!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
-    if maxval <= 0 or maxval > 255:
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM width and height must be at least 1, "
+                         f"header says {width} {height}")
+    if maxval <= 0 or maxval > MAXVAL:
         raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
     if magic == b"P5":
         raster = data[off + 1:off + 1 + width * height]
@@ -68,17 +75,15 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return samples.astype(np.float64).reshape(height, width), maxval
 
 
-def write_pgm(path, pixels: np.ndarray, maxval: int = 255,
-              ascii_format: bool = False) -> None:
-    """Write a float grid as P5 (default) or P2 with clamping/rounding."""
-    if not 0 < maxval <= 255:
-        raise ValueError("maxval must be in (0, 255]")
+def write_pgm(path, pixels: np.ndarray, ascii_format: bool = False) -> None:
+    """Write a float grid as P5 (default) or P2 with clamping/rounding
+    to [0, MAXVAL]."""
     arr = np.asarray(pixels, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D pixel array")
-    q = np.clip(np.rint(arr), 0, maxval).astype(np.uint8)
+    q = np.clip(np.rint(arr), 0, MAXVAL).astype(np.uint8)
     height, width = q.shape
-    header = f"{'P2' if ascii_format else 'P5'}\n{width} {height}\n{maxval}\n"
+    header = f"{'P2' if ascii_format else 'P5'}\n{width} {height}\n{MAXVAL}\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         if ascii_format:

@@ -20,12 +20,7 @@ import numpy as np
 
 from .km import KMResult, Monitor, RelaxationSchedule
 from .linalg import HVector, LinOp, identity_op, scalar_precond
-from .monotone import (
-    QuadraticDataFit,
-    box_operator,
-    data_fit_operator,
-    l1_operator,
-)
+from .monotone import QuadraticDataFit, box_operator, l1_operator
 from .primal_dual import COND_TOL, PDProblem, pd_iterate
 
 __all__ = [
@@ -310,29 +305,22 @@ def _check_boundary(cfg: TVConfig, shape: tuple[int, int]) -> None:
         )
 
 
-def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp,
-                  fit: QuadraticDataFit | None = None) -> PDProblem:
+def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
     """Assemble the three-block primal-dual problem for one image.
 
-    The primal operator is the gradient of ``fit``, the data-fit term
-    0.5*||R x - b||^2 of the observation b.  It is built here when
-    omitted; ``run_tv_solver`` passes its own, so that one fit also
-    scores the solve.  Blocks: anisotropic differences
-    along each axis with an l1 penalty, and an identity-coupled box
-    constraint on the dynamic range.
+    The primal operator A is the ``QuadraticDataFit`` of R and the
+    observation b, the gradient of 0.5*||R x - b||^2.  Blocks:
+    anisotropic differences along each axis with an l1 penalty, and an
+    identity-coupled box constraint on the dynamic range.
     """
     n1, n2 = observed.shape
     n = n1 * n2
     if R.dom_dim != n or R.cod_dim != n:
         raise ValueError("blur operator does not match the image grid")
     _check_boundary(cfg, observed.shape)
-    if fit is None:
-        fit = QuadraticDataFit(R, HVector(observed.pixels))
-    elif fit.R is not R:
-        raise ValueError("data fit is not of the blur operator")
     d1, d2 = build_gradient_ops(n1, n2)
     return PDProblem(
-        A=data_fit_operator(fit),
+        A=QuadraticDataFit(R, HVector(observed.pixels)),
         blocks=(
             (l1_operator(cfg.alpha), d1),
             (l1_operator(cfg.alpha), d2),
@@ -376,8 +364,8 @@ def run_tv_solver(
     fit and difference blocks; with ``record_objective`` its
     ``objectives`` hold the same formula on each primal iterate.
     """
-    fit = QuadraticDataFit(R, HVector(observed.pixels))
-    problem = build_problem(cfg, observed, R, fit)
+    problem = build_problem(cfg, observed, R)
+    fit = problem.A
     # (D1, D2): the couplings of the two l1 blocks
     grads = (problem.blocks[0][1], problem.blocks[1][1])
     shape = observed.shape

@@ -171,7 +171,7 @@ def test_criterion_01_prox_resolvent_oracles():
         x = rng.standard_normal(4)
         tau = float(rng.uniform(0.1, 2.0))
         q = QuadraticDataFit(matrix_op(mat), hvector(b))
-        got = q.resolvent(tau, x)
+        got = q.resolvent(scalar_precond(tau, 4), x)
         want = np.linalg.solve(np.eye(4) + tau * mat.T @ mat,
                                x + tau * mat.T @ b)
         np.testing.assert_allclose(got, want, atol=1e-10)

@@ -350,6 +350,10 @@ class TestSolveTV:
                      id="solve-tv-seed-negative"),
         pytest.param("diagnose", {"seed = 3": "seed = -1"},
                      id="diagnose-seed-negative"),
+        # --seed is checked where it is used: the TV commands by
+        # TVConfig and SweepGrid
+        pytest.param("solve-tv", ["--seed", "-1"], id="solve-tv --seed -1"),
+        pytest.param("sweep", ["--seed", "-1"], id="sweep --seed -1"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, monkeypatch,
                                          command, extra):

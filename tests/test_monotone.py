@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from pdsplit import (
     LinOp,
+    Precond,
     QuadraticDataFit,
     UnsupportedPreconditionerError,
     box_operator,
-    data_fit_operator,
     diagonal_precond,
     dual_resolvent,
     hvector,
@@ -100,12 +100,12 @@ class TestProjectBox:
 class TestResolventQuadratic:
     def test_identity_zero_data(self):
         q = QuadraticDataFit(identity_op(1), hvector([0.0]))
-        assert q.resolvent(1.0, np.array([2.0]))[0] \
+        assert q.resolvent(scalar_precond(1.0, 1), np.array([2.0]))[0] \
             == pytest.approx(1.0)
 
     def test_identity_with_data(self):
         q = QuadraticDataFit(identity_op(1), hvector([4.0]))
-        got = q.resolvent(1.0, np.array([0.0]))[0]
+        got = q.resolvent(scalar_precond(1.0, 1), np.array([0.0]))[0]
         assert got == pytest.approx(2.0)
         # grid oracle on the objective 0.5*(y-4)^2 + 0.5*(y-0)^2
         grid = np.arange(-10, 10, 1e-4)
@@ -119,7 +119,7 @@ class TestResolventQuadratic:
             x = rng.standard_normal(4)
             tau = float(rng.uniform(0.1, 3.0))
             q = QuadraticDataFit(matrix_op(mat), hvector(b))
-            got = q.resolvent(tau, x)
+            got = q.resolvent(scalar_precond(tau, 4), x)
             want = np.linalg.solve(
                 np.eye(4) + tau * mat.T @ mat, x + tau * mat.T @ b
             )
@@ -131,7 +131,7 @@ class TestResolventQuadratic:
         x = rng.standard_normal(6)
         q = QuadraticDataFit(matrix_op(mat), hvector(b))
         tau = 0.7
-        y = q.resolvent(tau, x)
+        y = q.resolvent(scalar_precond(tau, 6), x)
         rhs = x + tau * mat.T @ b
         lhs = y + tau * mat.T @ (mat @ y)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -142,7 +142,7 @@ class TestResolventQuadratic:
         b = rng.standard_normal(n1 * n2)
         x = rng.standard_normal(n1 * n2)
         q = QuadraticDataFit(blur, hvector(b))
-        got = q.resolvent(0.4, x)
+        got = q.resolvent(scalar_precond(0.4, n1 * n2), x)
         mat = blur.as_matrix()
         want = np.linalg.solve(
             np.eye(n1 * n2) + 0.4 * mat.T @ mat, x + 0.4 * mat.T @ b
@@ -175,7 +175,7 @@ class TestResolventQuadratic:
             r = blur.forward(x) - b
             assert q.value(x) == pytest.approx(0.5 * float(r @ r), rel=1e-12)
             # the resolvent shares the spectrum buffer; value keeps no state
-            q.resolvent(0.5, x)
+            q.resolvent(scalar_precond(0.5, n1 * n2), x)
 
     def test_dense_value_is_half_squared_residual(self, rng):
         mat = rng.standard_normal((5, 3))
@@ -202,12 +202,13 @@ class TestResolventQuadratic:
                 spec / (1.0 + tau * np.abs(blur.fft_symbol) ** 2),
                 s=(n1, n2),
             ).ravel()
-            assert np.array_equal(q.resolvent(tau, x), want)
+            assert np.array_equal(
+                q.resolvent(scalar_precond(tau, n1 * n2), x), want)
 
     def test_rejects_nonpositive_tau(self):
         q = QuadraticDataFit(identity_op(2), hvector([0.0, 0.0]))
         with pytest.raises(ValueError):
-            q.resolvent(0.0, np.array([1.0, 1.0]))
+            q.resolvent(Precond(2, diag=0.0), np.array([1.0, 1.0]))
 
 
 class TestMoreauInverseResolvent:
@@ -410,8 +411,8 @@ class TestGaussianKernel:
                  "alpha must be nonnegative", id="l1-negative-alpha"),
     pytest.param(lambda: box_operator(1.0, 0.0), ValueError, "empty box",
                  id="box-empty"),
-    pytest.param(lambda: data_fit_operator(
-        QuadraticDataFit(identity_op(2), hvector([1.0, 2.0]))).resolvent(
+    pytest.param(lambda: QuadraticDataFit(
+        identity_op(2), hvector([1.0, 2.0])).resolvent(
             diagonal_precond([1.0, 2.0]), np.zeros(2)),
                  UnsupportedPreconditionerError,
                  "needs a scalar preconditioner", id="data-fit-diagonal"),

@@ -89,8 +89,15 @@ def read_bytes(raw):
                  "truncated PGM header", id="read-truncated-header"),
     pytest.param(read_bytes(b"P2\n2 2\n255\n0 1 2\n"), ValueError,
                  "truncated P2 raster", id="read-truncated-p2"),
-    pytest.param(lambda path: write_pgm(path, np.zeros((2, 2)), maxval=0),
-                 ValueError, "maxval must be in (0, 255]", id="write-maxval-0"),
+    # a nonpositive width or height, in either format
+    pytest.param(read_bytes(b"P2\n-1 8\n255\n" + b"0\n" * 24), ValueError,
+                 "header says -1 8", id="read-p2-width-negative"),
+    pytest.param(read_bytes(b"P5\n-1 4\n255\n" + bytes(16)), ValueError,
+                 "header says -1 4", id="read-p5-width-negative"),
+    pytest.param(read_bytes(b"P5\n0 0\n255\n"), ValueError,
+                 "header says 0 0", id="read-p5-empty"),
+    pytest.param(read_bytes(b"P2\n3 0\n255\n"), ValueError,
+                 "header says 3 0", id="read-p2-height-0"),
     pytest.param(lambda path: write_pgm(path, np.zeros(3)), ValueError,
                  "expected a 2-D pixel array", id="write-1d"),
 ])
