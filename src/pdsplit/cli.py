@@ -248,7 +248,6 @@ def cmd_solve_tv(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cp = _load_config(args.config)
-        # --workers is checked, but the cells run one after another
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got "
                               f"{args.workers}")
@@ -278,7 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows = sweep(configs, instance)
+    rows = sweep(configs, instance, args.workers)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     n_conv = sum(1 for r in rows if r["converged"])
     print(f"cells={len(rows)} converged={n_conv} -> {out_dir / 'sweep.csv'}")

@@ -44,7 +44,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a P5 or P2 PGM file; returns (pixels, maxval).
 
     ``pixels`` is a float64 array of shape (rows, cols) with entries
-    in [0, maxval]; a sample outside that range is a ValueError.
+    in [0, maxval]; a sample outside that range is a ValueError, and
+    so is a P2 raster of more or fewer than width x height samples.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -67,9 +68,14 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         values = data[off:].split()
         if len(values) < width * height:
             raise ValueError("truncated P2 raster")
+        # a plain PGM holds one image; P5 may hold more, so trailing
+        # bytes are allowed there
+        if len(values) > width * height:
+            raise ValueError(f"P2 raster holds {len(values)} samples, "
+                             f"more than {width} x {height}")
         # no dtype: a token beyond float range stays a Python int and
         # fails the range check instead of overflowing
-        samples = np.array([int(v) for v in values[: width * height]])
+        samples = np.array([int(v) for v in values])
     if not np.all((samples >= 0) & (samples <= maxval)):
         raise ValueError(f"PGM samples must lie in [0, {maxval}]")
     return samples.astype(np.float64).reshape(height, width), maxval
@@ -79,8 +85,9 @@ def write_pgm(path, pixels: np.ndarray, ascii_format: bool = False) -> None:
     """Write a float grid as P5 (default) or P2 with clamping/rounding
     to [0, MAXVAL]."""
     arr = np.asarray(pixels, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D pixel array")
+    if arr.ndim != 2 or min(arr.shape) < 1:
+        raise ValueError(f"expected a 2-D pixel array with both sides at "
+                         f"least 1, got shape {arr.shape}")
     q = np.clip(np.rint(arr), 0, MAXVAL).astype(np.uint8)
     height, width = q.shape
     header = f"{'P2' if ascii_format else 'P5'}\n{width} {height}\n{MAXVAL}\n"

@@ -11,6 +11,7 @@ the experiment: its defaults and checks, its synthetic observation
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -605,14 +606,45 @@ def _run_cell(cfg, observed, R, clean):
     return row
 
 
-def sweep(configs: Sequence[TVConfig], instance: TVInstance) -> list[dict]:
-    """Run the cells one after another: one row per config, in order.
-    Each cell runs on ``instance.observe(cfg.seed)``, built once per
-    seed, so a rerun gives the same rows apart from ``wall_ms``."""
+def _run_share(configs: Sequence[TVConfig],
+               instance: TVInstance) -> list[dict]:
+    """The rows of ``configs``, one cell after another, each on
+    ``instance.observe(cfg.seed)``, built once per seed."""
     seeds = dict.fromkeys(cfg.seed for cfg in configs)
     observations = {seed: instance.observe(seed) for seed in seeds}
     rows = []
     for cfg in configs:
         clean, R, observed = observations[cfg.seed]
         rows.append(_run_cell(cfg, observed, R, clean))
+    return rows
+
+
+def sweep(configs: Sequence[TVConfig], instance: TVInstance,
+          workers: int = 1) -> list[dict]:
+    """One row per config, in order, from ``workers`` processes, the
+    calling one included, but at most one per cell and per CPU.
+
+    The cells are dealt round-robin: with P processes, share k is
+    ``configs[k::P]``.  The caller runs share 0 itself and a process
+    pool of P - 1 workers runs the others, one share each; the pool is
+    shut down before the rows return.  A share rebuilds the observation
+    of each of its seeds (the blur operator holds closures, which do
+    not pickle, and ``observe`` is deterministic), so the rows do not
+    depend on ``workers`` apart from ``wall_ms``.
+    """
+    procs = min(workers, len(configs), os.cpu_count() or 1)
+    if procs <= 1:
+        return _run_share(configs, instance)
+    # imported here: the pool's import costs every other caller of
+    # the package time and memory
+    from concurrent.futures import ProcessPoolExecutor
+
+    shares = [configs[k::procs] for k in range(procs)]
+    rows = [None] * len(configs)
+    with ProcessPoolExecutor(procs - 1) as pool:
+        futures = [pool.submit(_run_share, share, instance)
+                   for share in shares[1:]]
+        rows[0::procs] = _run_share(shares[0], instance)
+        for k, future in enumerate(futures, 1):
+            rows[k::procs] = future.result()
     return rows

@@ -318,7 +318,7 @@ def test_criterion_08_distinct_sigma_trend(tv_instance):
         include_equal_sigma=True,
     )
     rows = sweep(dataclasses.replace(grid, seeds=(0,)).configs(instance),
-                 instance)
+                 instance, 2)
     assert all(r["converged"] for r in rows)
 
     def is_equal_sigma(r):

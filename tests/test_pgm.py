@@ -67,6 +67,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=r"samples must lie in \[0, "):
             read_pgm(path)
 
+    def test_p5_trailing_bytes_are_allowed(self, tmp_path):
+        # a P5 file may hold several images; only the first is read
+        path = tmp_path / "two.pgm"
+        path.write_bytes(b"P5\n2 1\n255\n" + bytes([1, 2]) + b"P5\n1 1\n255\n"
+                         + bytes([3]))
+        back, _ = read_pgm(path)
+        np.testing.assert_array_equal(back, [[1.0, 2.0]])
+
     def test_samples_at_maxval_are_read(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
@@ -98,8 +106,15 @@ def read_bytes(raw):
                  "header says 0 0", id="read-p5-empty"),
     pytest.param(read_bytes(b"P2\n3 0\n255\n"), ValueError,
                  "header says 3 0", id="read-p2-height-0"),
+    # a plain PGM holds exactly one image
+    pytest.param(read_bytes(b"P2\n2 2\n255\n0 1 2 3 4 5\n"), ValueError,
+                 "P2 raster holds 6 samples, more than 2 x 2",
+                 id="read-p2-extra-samples"),
     pytest.param(lambda path: write_pgm(path, np.zeros(3)), ValueError,
                  "expected a 2-D pixel array", id="write-1d"),
+    # read_pgm rejects the header such a grid would give
+    pytest.param(lambda path: write_pgm(path, np.zeros((0, 3))), ValueError,
+                 "got shape (0, 3)", id="write-empty"),
 ])
 def test_input_checks(tmp_path, call, exc, fragment):
     with pytest.raises(exc) as info:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -362,11 +364,18 @@ class TestSweep:
         for row in rows:
             assert set(row) == set(SWEEP_COLUMNS)
             assert row["converged"]
-        rows2 = sweep(grid.configs(inst), inst)
-        for a, b in zip(rows, rows2):
-            for key in a:
-                if key != "wall_ms":
-                    assert a[key] == b[key]
+        # a rerun on a process pool, also with more workers than CPUs,
+        # gives the rows of the single process in config order
+        for workers in (2, os.cpu_count() + 1):
+            rows2 = sweep(grid.configs(inst), inst, workers)
+            assert len(rows2) == len(rows)
+            for a, b in zip(rows, rows2):
+                for key in a:
+                    if key != "wall_ms":
+                        assert a[key] == b[key]
+        assert [(r["seed"], r["sigma1"]) for r in rows] == [
+            (cfg.seed, cfg.sigma1) for cfg in grid.configs(inst)]
+        assert multiprocessing.active_children() == []
 
     def test_default_grid_is_the_old_command_line_default(self):
         # the grid the sweep command built from its own default strings
@@ -429,6 +438,17 @@ class TestSweep:
             run.image.pixels, QuadraticDataFit(R, hvector(observed.pixels)),
             0.01, build_gradient_ops(16, 16))
         assert row["psnr"] == psnr(run.image, clean)
+
+    def test_pool_rows_report_max_iter(self):
+        grid, _ = self._tiny()
+        inst = TVInstance(n1=16, n2=16, peak=1.0, eps=1e-12, max_iter=1)
+        configs = dataclasses.replace(grid, seeds=(0, 1)).configs(inst)
+        rows = sweep(configs, inst, 2)
+        assert len(rows) == 4
+        assert all(r["stop_reason"] == "max_iter" and not r["converged"]
+                   and r["iterations"] == 1 and r["error"] == ""
+                   for r in rows)
+        assert multiprocessing.active_children() == []
 
     def test_failed_cell_recorded(self, monkeypatch):
         # max_iter=1 cannot converge; row must report the failure
