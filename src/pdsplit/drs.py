@@ -132,6 +132,8 @@ def fixed_point_transport(
     z exactly, and one application of the primal-dual resolvent to the
     result yields a zero of the inclusion.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     z = as_flat(z_hat)
     drift = float(np.linalg.norm(drs_operator(p, z) - z))
     if drift > tol * (1.0 + float(np.linalg.norm(z))):

@@ -311,7 +311,7 @@ def power_iteration_sqnorm(
         If the tolerance is not met within ``max_iter`` operator
         applications; the exception carries the last estimate.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if op.dom_dim != op.cod_dim:
         raise ValueError("operator must be square (self-adjoint)")

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DENSE_DIM_LIMIT, HVector, LinOp, Precond, inner
+from .linalg import HVector, LinOp, Precond, inner
 
 __all__ = [
     "MonotoneOp",
@@ -94,56 +94,49 @@ def project_box(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 class QuadraticDataFit:
-    """Least-squares data-fit term 0.5*||R y - b||^2: its value, and its
-    gradient as a monotone operator, exposed as ``MonotoneOp`` is.
+    """Least-squares data-fit term 0.5*||R y - b||^2 for a real periodic
+    convolution R: its value, and its gradient as a monotone operator,
+    exposed as ``MonotoneOp`` is.
 
     The resolvent at a scalar preconditioner tau solves
-    (Id + tau R*R) y = x + tau R*b.  When R is a real periodic
-    convolution (``fft_symbol`` set on the operator) the solve is
-    diagonalized by the real FFT, which stores half the spectrum, and
-    the instance also keeps b's spectrum; otherwise the dense inverse
-    of Id + tau R*R is formed once per step size, limited to moderate
-    dimensions.  The solver and tau R*b are kept per step size.  The
-    right-hand side and its spectrum are formed in buffers owned by
-    the instance, and the FFT solve writes its solution over the
-    right-hand side once the spectrum holds it: the FFT resolvent
-    returns that buffer, which the next call overwrites, and one
-    instance must not be used from two threads at once.
+    (Id + tau R*R) y = x + tau R*b, diagonalized by the real FFT on R's
+    ``fft_symbol``, which stores half the spectrum; the instance also
+    keeps b's spectrum.  The solver and tau R*b are kept per step size.
+    The right-hand side and its spectrum are formed in buffers owned by
+    the instance, and the solve writes its solution over the right-hand
+    side once the spectrum holds it: the resolvent returns that buffer,
+    which the next call overwrites, and one instance must not be used
+    from two threads at once.  A dense least-squares resolvent is
+    ``monotone_linear(R^T R, offset=-R^T b)``.
     """
 
     # no closed form: as a dual block it would take the Moreau path
     conj_resolvent = None
 
     def __init__(self, R: LinOp, b: HVector):
+        if R.fft_symbol is None:
+            raise ValueError(
+                "quadratic data fit needs a periodic convolution "
+                "(an operator with fft_symbol)"
+            )
         if R.cod_dim != b.data.size:
             raise ValueError("observation does not match operator codomain")
         self.R = R
         self._b = b.data
-        self._fft = R.fft_symbol is not None
-        if self._fft:
-            self._b_hat = np.fft.rfft2(b.data.reshape(R.grid_shape))
-            self._spec = np.empty_like(R.fft_symbol)
-            # the spectrum's (real, imaginary) pairs as float64 columns
-            self._spec_parts = self._spec.view(np.float64)
-        elif R.dom_dim > DENSE_DIM_LIMIT:
-            raise ValueError(
-                "dense fallback limited to dimension "
-                f"{DENSE_DIM_LIMIT}, got {R.dom_dim}"
-            )
+        self._b_hat = np.fft.rfft2(b.data.reshape(R.grid_shape))
+        self._spec = np.empty_like(R.fft_symbol)
+        # the spectrum's (real, imaginary) pairs as float64 columns
+        self._spec_parts = self._spec.view(np.float64)
         self._rhs = np.empty(R.dom_dim)
         self._solver_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def value(self, x: np.ndarray) -> float:
         """0.5*||R x - b||^2 for a flat array x.
 
-        On the FFT path this is Parseval's identity on the half
-        spectrum, formed in the spectrum buffer: each column other than
-        0 and n2/2 stands for itself and its mirror image, so it counts
-        twice.
+        Parseval's identity on the half spectrum, formed in the
+        spectrum buffer: each column other than 0 and n2/2 stands for
+        itself and its mirror image, so it counts twice.
         """
-        if not self._fft:
-            r = self.R.forward(x) - self._b
-            return 0.5 * inner(r, r)
         n1, n2 = self.R.grid_shape
         spec = np.fft.rfft2(x.reshape(n1, n2), out=self._spec)
         spec *= self.R.fft_symbol
@@ -158,18 +151,13 @@ class QuadraticDataFit:
     def _solver(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """(solver, tau R*b) at step size tau, formed on first use.
 
-        On the FFT path the solver is 1/(1 + tau |s|^2) repeated for the
-        real and imaginary part of each spectrum entry: multiplying by
-        it rounds as numpy's complex-by-real division does, which
-        computes a * (1/c).
+        The solver is 1/(1 + tau |s|^2) repeated for the real and
+        imaginary part of each spectrum entry: multiplying by it rounds
+        as numpy's complex-by-real division does, which computes
+        a * (1/c).
         """
-        if self._fft:
-            recip = 1.0 / (1.0 + tau * np.abs(self.R.fft_symbol) ** 2)
-            solver = np.repeat(recip, 2, axis=1)
-        else:
-            m = self.R.as_matrix()
-            solver = np.linalg.inv(np.eye(self.R.dom_dim) + tau * (m.T @ m))
-        return solver, tau * self.R.adjoint(self._b)
+        recip = 1.0 / (1.0 + tau * np.abs(self.R.fft_symbol) ** 2)
+        return np.repeat(recip, 2, axis=1), tau * self.R.adjoint(self._b)
 
     def resolvent(self, p: Precond, x: np.ndarray) -> np.ndarray:
         tau = _diagonal(p, "quadratic data-fit")
@@ -184,8 +172,6 @@ class QuadraticDataFit:
             cached = self._solver_cache[tau] = self._solver(tau)
         solver, tau_rtb = cached
         rhs = np.add(x, tau_rtb, out=self._rhs)
-        if not self._fft:
-            return solver @ rhs
         shape = self.R.grid_shape
         np.fft.rfft2(rhs.reshape(shape), out=self._spec)
         np.multiply(self._spec_parts, solver, out=self._spec_parts)

@@ -316,8 +316,11 @@ def build_problem(cfg: TVConfig, observed: ImageGrid, R: LinOp) -> PDProblem:
     """
     n1, n2 = observed.shape
     n = n1 * n2
-    if R.dom_dim != n or R.cod_dim != n:
-        raise ValueError("blur operator does not match the image grid")
+    if R.grid_shape != observed.shape:
+        raise ValueError(
+            f"blur operator does not match the image grid: blur grid "
+            f"{R.grid_shape}, image {observed.shape}"
+        )
     _check_boundary(cfg, observed.shape)
     d1, d2 = build_gradient_ops(n1, n2)
     return PDProblem(
@@ -626,22 +629,26 @@ def sweep(configs: Sequence[TVConfig], instance: TVInstance,
 
     The cells are dealt round-robin: with P processes, share k is
     ``configs[k::P]``.  The caller runs share 0 itself and a process
-    pool of P - 1 workers runs the others, one share each; the pool is
-    shut down before the rows return.  A share rebuilds the observation
-    of each of its seeds (the blur operator holds closures, which do
-    not pickle, and ``observe`` is deterministic), so the rows do not
-    depend on ``workers`` apart from ``wall_ms``.
+    pool of P - 1 forked workers runs the others, one share each; the
+    pool is shut down before the rows return.  A share rebuilds the
+    observation of each of its seeds (the blur operator holds closures,
+    which do not pickle, and ``observe`` is deterministic), so the rows
+    do not depend on ``workers`` apart from ``wall_ms``.
     """
     procs = min(workers, len(configs), os.cpu_count() or 1)
     if procs <= 1:
         return _run_share(configs, instance)
     # imported here: the pool's import costs every other caller of
     # the package time and memory
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     shares = [configs[k::procs] for k in range(procs)]
     rows = [None] * len(configs)
-    with ProcessPoolExecutor(procs - 1) as pool:
+    # fork, which Python 3.14 no longer defaults to on Linux: a worker
+    # started any other way pays the package import again
+    with ProcessPoolExecutor(
+            procs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(_run_share, share, instance)
                    for share in shares[1:]]
         rows[0::procs] = _run_share(shares[0], instance)

@@ -37,7 +37,6 @@ from pdsplit import (
     hvector,
     identity_op,
     l1_operator,
-    matrix_op,
     monotone_linear,
     pd_iterate,
     pd_resolvent,
@@ -165,14 +164,20 @@ def test_criterion_01_prox_resolvent_oracles():
         np.testing.assert_allclose(got, grid_box_oracle(x, lo, hi),
                                    atol=2e-4)
 
+    # the FFT solve the TV solver runs, against a dense solve of
+    # (Id + tau R*R) y = x + tau R*b on random periodic blurs
     for _ in range(100):
-        mat = rng.standard_normal((4, 4))
-        b = rng.standard_normal(4)
-        x = rng.standard_normal(4)
+        n1, n2 = (int(k) for k in rng.integers(1, 5, size=2))
+        size = int(rng.choice(np.arange(1, min(n1, n2) + 1, 2)))
+        blur = build_gaussian_blur(n1, n2, size, float(rng.uniform(0.3, 3.0)))
+        n = n1 * n2
+        b = rng.standard_normal(n)
+        x = rng.standard_normal(n)
         tau = float(rng.uniform(0.1, 2.0))
-        q = QuadraticDataFit(matrix_op(mat), hvector(b))
-        got = q.resolvent(scalar_precond(tau, 4), x)
-        want = np.linalg.solve(np.eye(4) + tau * mat.T @ mat,
+        q = QuadraticDataFit(blur, hvector(b))
+        got = q.resolvent(scalar_precond(tau, n), x)
+        mat = blur.as_matrix()
+        want = np.linalg.solve(np.eye(n) + tau * mat.T @ mat,
                                x + tau * mat.T @ b)
         np.testing.assert_allclose(got, want, atol=1e-10)
 

@@ -230,3 +230,16 @@ def test_equivalence_deviation_of_equal_infinite_entries_is_infinite():
     with np.errstate(over="ignore", invalid="ignore"):
         assert equivalence_deviation(
             p, big, big, RelaxationSchedule.constant(1.0), 5) == math.inf
+
+
+# input checks of drs, by the exception and a fragment of its message
+@pytest.mark.parametrize("call,exc,fragment", [
+    # z -> z/2 moves 5 by 2.5: a NaN tolerance must not accept it
+    pytest.param(lambda: fixed_point_transport(scalar_drs(), hvector([5.0]),
+                                               tol=math.nan),
+                 ValueError, "tol must be positive", id="transport-tol-nan"),
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)

@@ -483,6 +483,10 @@ class TestGradientNorm:
                  id="matrix-precond-indefinite"),
     pytest.param(lambda: power_iteration_sqnorm(matrix_op(np.ones((2, 3)))),
                  ValueError, "must be square", id="power-iteration-not-square"),
+    # NaN fails every comparison, so "tol <= 0" would let it through
+    pytest.param(lambda: power_iteration_sqnorm(identity_op(3), tol=math.nan),
+                 ValueError, "tol must be positive",
+                 id="power-iteration-tol-nan"),
     pytest.param(lambda: dense_range_diagnostics(np.ones((2, 3))),
                  ValueError, "matrix must be square",
                  id="range-diagnostics-not-square"),

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
-    LinOp,
     Precond,
     QuadraticDataFit,
     UnsupportedPreconditionerError,
@@ -16,7 +15,6 @@ from pdsplit import (
     hvector,
     identity_op,
     l1_operator,
-    matrix_op,
     matrix_precond,
     monotone_linear,
     project_box,
@@ -24,7 +22,6 @@ from pdsplit import (
     scalar_precond,
     zero_operator,
 )
-from pdsplit.linalg import DENSE_DIM_LIMIT
 from pdsplit.tv import build_gaussian_blur, gaussian_kernel
 
 
@@ -98,13 +95,14 @@ class TestProjectBox:
 
 
 class TestResolventQuadratic:
+    # a size-1 kernel is the identity convolution, even on a 1 x 1 grid
     def test_identity_zero_data(self):
-        q = QuadraticDataFit(identity_op(1), hvector([0.0]))
+        q = QuadraticDataFit(build_gaussian_blur(1, 1, 1, 1.0), hvector([0.0]))
         assert q.resolvent(scalar_precond(1.0, 1), np.array([2.0]))[0] \
             == pytest.approx(1.0)
 
     def test_identity_with_data(self):
-        q = QuadraticDataFit(identity_op(1), hvector([4.0]))
+        q = QuadraticDataFit(build_gaussian_blur(1, 1, 1, 1.0), hvector([4.0]))
         got = q.resolvent(scalar_precond(1.0, 1), np.array([0.0]))[0]
         assert got == pytest.approx(2.0)
         # grid oracle on the objective 0.5*(y-4)^2 + 0.5*(y-0)^2
@@ -112,28 +110,30 @@ class TestResolventQuadratic:
         vals = 0.5 * (grid - 4.0) ** 2 + 0.5 * grid ** 2
         assert got == pytest.approx(grid[np.argmin(vals)], abs=2e-4)
 
-    def test_matches_dense_solve(self, rng):
-        for _ in range(20):
-            mat = rng.standard_normal((4, 4))
-            b = rng.standard_normal(4)
-            x = rng.standard_normal(4)
+    def test_matches_dense_solve(self):
+        # every grid of 1 to 4 per side
+        for seed in range(20):
+            n1, n2 = 1 + seed % 4, 1 + seed // 5
+            blur, b, q, rng = self.random_fit(n1, n2, seed)
+            n = n1 * n2
+            x = rng.standard_normal(n)
             tau = float(rng.uniform(0.1, 3.0))
-            q = QuadraticDataFit(matrix_op(mat), hvector(b))
-            got = q.resolvent(scalar_precond(tau, 4), x)
+            got = q.resolvent(scalar_precond(tau, n), x)
+            mat = blur.as_matrix()
             want = np.linalg.solve(
-                np.eye(4) + tau * mat.T @ mat, x + tau * mat.T @ b
+                np.eye(n) + tau * mat.T @ mat, x + tau * mat.T @ b
             )
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_normal_equation_residual(self, rng):
-        mat = rng.standard_normal((6, 6))
-        b = rng.standard_normal(6)
-        x = rng.standard_normal(6)
-        q = QuadraticDataFit(matrix_op(mat), hvector(b))
+        blur = build_gaussian_blur(6, 5, 3, 1.2)
+        b = rng.standard_normal(30)
+        x = rng.standard_normal(30)
+        q = QuadraticDataFit(blur, hvector(b))
         tau = 0.7
-        y = q.resolvent(scalar_precond(tau, 6), x)
-        rhs = x + tau * mat.T @ b
-        lhs = y + tau * mat.T @ (mat @ y)
+        y = q.resolvent(scalar_precond(tau, 30), x)
+        rhs = x + tau * blur.adjoint(b)
+        lhs = y + tau * blur.adjoint(blur.forward(y))
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_fft_path_matches_dense(self, rng):
@@ -177,14 +177,6 @@ class TestResolventQuadratic:
             # the resolvent shares the spectrum buffer; value keeps no state
             q.resolvent(scalar_precond(0.5, n1 * n2), x)
 
-    def test_dense_value_is_half_squared_residual(self, rng):
-        mat = rng.standard_normal((5, 3))
-        b = rng.standard_normal(5)
-        x = rng.standard_normal(3)
-        q = QuadraticDataFit(matrix_op(mat), hvector(b))
-        r = mat @ x - b
-        assert q.value(x) == pytest.approx(0.5 * float(r @ r), rel=1e-12)
-
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
     @grids
@@ -206,7 +198,8 @@ class TestResolventQuadratic:
                 q.resolvent(scalar_precond(tau, n1 * n2), x), want)
 
     def test_rejects_nonpositive_tau(self):
-        q = QuadraticDataFit(identity_op(2), hvector([0.0, 0.0]))
+        q = QuadraticDataFit(build_gaussian_blur(1, 2, 1, 1.0),
+                             hvector([0.0, 0.0]))
         with pytest.raises(ValueError):
             q.resolvent(Precond(2, diag=0.0), np.array([1.0, 1.0]))
 
@@ -396,13 +389,15 @@ class TestGaussianKernel:
 # every input check of monotone, by the exception and a fragment of its
 # message
 @pytest.mark.parametrize("call,exc,fragment", [
-    pytest.param(lambda: QuadraticDataFit(identity_op(3), hvector([1.0, 2.0])),
+    pytest.param(lambda: QuadraticDataFit(build_gaussian_blur(1, 3, 1, 1.0),
+                                          hvector([1.0, 2.0])),
                  ValueError, "does not match operator codomain",
                  id="data-fit-codomain"),
-    # no FFT symbol and too wide for the dense inverse; never applied
-    pytest.param(lambda: QuadraticDataFit(
-        LinOp(np.copy, np.copy, DENSE_DIM_LIMIT + 1, 1), hvector([0.0])),
-                 ValueError, "dense fallback limited", id="data-fit-dense"),
+    # a dense operator, without an FFT symbol: monotone_linear(R^T R,
+    # offset=-R^T b) is the dense least-squares resolvent
+    pytest.param(lambda: QuadraticDataFit(identity_op(1), hvector([0.0])),
+                 ValueError, "needs a periodic convolution",
+                 id="data-fit-dense"),
     pytest.param(lambda: monotone_linear(-1.0), ValueError,
                  "slope must be nonnegative", id="linear-negative-slope"),
     pytest.param(lambda: monotone_linear(np.array([[-1.0]])), ValueError,
@@ -412,7 +407,7 @@ class TestGaussianKernel:
     pytest.param(lambda: box_operator(1.0, 0.0), ValueError, "empty box",
                  id="box-empty"),
     pytest.param(lambda: QuadraticDataFit(
-        identity_op(2), hvector([1.0, 2.0])).resolvent(
+        build_gaussian_blur(1, 2, 1, 1.0), hvector([1.0, 2.0])).resolvent(
             diagonal_precond([1.0, 2.0]), np.zeros(2)),
                  UnsupportedPreconditionerError,
                  "needs a scalar preconditioner", id="data-fit-diagonal"),

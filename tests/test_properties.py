@@ -120,6 +120,22 @@ def test_displacement_never_increases(n1, n2, tau, gamma1, gamma2, seed):
         assert b <= a * (1.0 + 1e-12)
 
 
+def shadow_fixed_anchor(problem, z):
+    """A state whose shadow is fixed to 1e-12 in the V-seminorm: z
+    itself if it is, otherwise the limit of unrelaxed steps from z."""
+
+    def resolvent(state):
+        return pd_resolvent(problem, state)
+
+    for _ in range(200):
+        if zero_inclusion_residual(problem, z) < 1e-12:
+            break
+        z = km_iterate(resolvent, z, RelaxationSchedule.constant(1.0), None,
+                       100).state
+    assert zero_inclusion_residual(problem, z) < 1e-12
+    return z
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(n1=st.integers(3, 5), n2=st.integers(3, 5), tau=st.floats(0.05, 3.0),
        gamma1=fraction, gamma2=fraction, seed=st.integers(0, 2**32 - 1))
@@ -129,21 +145,11 @@ def test_anchored_distance_never_increases(n1, n2, tau, gamma1, gamma2,
     # the V-seminorm distance to a shadow-fixed anchor never increases
     rng = np.random.default_rng(seed)
     problem = critical_problem(n1, n2, tau, gamma1, gamma2, rng)
-
-    def resolvent(z):
-        return pd_resolvent(problem, z)
-
-    anchor = random_state(rng, n1 * n2)
-    for _ in range(200):
-        if zero_inclusion_residual(problem, anchor) < 1e-12:
-            break
-        anchor = km_iterate(resolvent, anchor,
-                            RelaxationSchedule.constant(1.0), None, 100).state
-    assert zero_inclusion_residual(problem, anchor) < 1e-12
+    anchor = shadow_fixed_anchor(problem, random_state(rng, n1 * n2))
 
     lam = float(rng.uniform(0.05, 1.95))
     mon = FejerMonitor(problem, anchor)
-    km_iterate(resolvent, random_state(rng, n1 * n2),
+    km_iterate(lambda z: pd_resolvent(problem, z), random_state(rng, n1 * n2),
                RelaxationSchedule.constant(lam), None, 60, monitors=(mon,))
     d0 = mon.values[0]
     assert d0 > 0
@@ -310,3 +316,55 @@ def test_shadow_fixed_state_transports_to_a_drs_fixed_point(n, kind,
     assert norm(shift) <= 1e-10 * (1.0 + norm(state))
     z = state[:n] - p.upsilon.apply(state[n:])
     assert norm(drs_operator(p, z) - z) <= 1e-10 * (1.0 + norm(z))
+
+
+# 10 to 40 relaxations anywhere in [0, 2] or within 1e-3 of 0 or 2, or
+# only the latter, where the KM sum of lambda (2 - lambda) stays below 1
+near_ends = st.one_of(st.floats(0.0, 1e-3), st.floats(2.0 - 1e-3, 2.0))
+schedules = st.one_of(
+    st.lists(st.one_of(st.floats(0.0, 2.0), near_ends), min_size=10,
+             max_size=40),
+    st.lists(near_ends, min_size=1, max_size=40),
+)
+
+
+def check_km_energy(problem, anchor, z0, lams):
+    """The KM energy inequality of a firmly nonexpansive map J in the
+    V-seminorm, at every N:
+    ||z_N - z*||^2 + sum_{k<N} lambda_k (2 - lambda_k) ||J z_k - z_k||^2
+    <= ||z_0 - z*||^2, and ||J z_k - z_k|| never increases."""
+    dist, disp = FejerMonitor(problem, anchor), DisplacementMonitor(problem)
+    km_iterate(lambda z: pd_resolvent(problem, z), z0,
+               RelaxationSchedule.from_sequence(lams), None, len(lams),
+               monitors=(dist, disp))
+    d = np.square(dist.values)
+    lam = np.array(lams)
+    spent = np.cumsum(lam * (2.0 - lam) * np.square(disp.values))
+    assert d[0] > 0
+    assert np.all(d[1:] + spent <= d[0] * (1.0 + 1e-9))
+    r = np.array(disp.values)
+    assert np.all(r[1:] <= r[:-1] * (1.0 + 1e-12))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(n1=st.integers(3, 6), n2=st.integers(3, 6), tau=st.floats(0.05, 3.0),
+       gamma1=fraction, gamma2=fraction, lams=schedules,
+       seed=st.integers(0, 2**32 - 1))
+def test_km_energy_inequality_on_critical_tv(n1, n2, tau, gamma1, gamma2,
+                                             lams, seed):
+    rng = np.random.default_rng(seed)
+    problem = critical_problem(n1, n2, tau, gamma1, gamma2, rng)
+    anchor = shadow_fixed_anchor(problem, random_state(rng, n1 * n2))
+    check_km_energy(problem, anchor, random_state(rng, n1 * n2), lams)
+
+
+@examples
+@given(n=st.integers(1, 8), kind=preconds, lams=schedules,
+       seed=st.integers(0, 2**32 - 1))
+def test_km_energy_inequality_on_drs(n, kind, lams, seed):
+    # the saddle point (x*, -A x*) of as_pd_problem(p) is shadow-fixed
+    rng = np.random.default_rng(seed)
+    p, x_star, a_star = dense_drs(kind, rng, n)
+    problem = as_pd_problem(p)
+    anchor = shadow_fixed_anchor(problem, np.concatenate((x_star, -a_star)))
+    check_km_energy(problem, anchor, rng.standard_normal(2 * n), lams)

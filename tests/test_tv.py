@@ -514,6 +514,14 @@ def grid(n1=4, n2=4, peak=1.0):
                                        build_gaussian_blur(5, 5, 3, 1.0)),
                  ValueError, "blur operator does not match",
                  id="problem-blur-grid"),
+    # the same pixel count on the transposed grid
+    pytest.param(lambda: build_problem(TVConfig(0.1, 0.1, 0.1, 0.1),
+                                       grid(4, 6),
+                                       build_gaussian_blur(6, 4, 3, 4.0)),
+                 ValueError,
+                 "blur operator does not match the image grid: blur grid "
+                 "(6, 4), image (4, 6)",
+                 id="problem-blur-transposed"),
     pytest.param(lambda: TVInstance(blur_std=0.0), ValueError,
                  "blur std 0.0 must be positive", id="instance-blur-std-0"),
     # a subnormal step has an infinite inverse in the metric V
