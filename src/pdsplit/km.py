@@ -162,6 +162,7 @@ def km_iterate(
         z_next += z
         for m in monitors:
             m.observe(n, z, sz, z_next)
+        del sz  # so S z_n is freed before S is called again
         residuals.append(r)
         if objectives is not None:
             objectives.append(objective_fn(z_next))

@@ -81,14 +81,14 @@ def prox_l1(x: np.ndarray, kappa) -> np.ndarray:
     arises with diagonal preconditioners on separable functions).
     """
     k = np.asarray(kappa, dtype=np.float64)
-    if np.any(k < 0):
+    if not np.all(k >= 0):
         raise ValueError("soft-threshold level must be nonnegative")
     return np.sign(x) * np.maximum(np.abs(x) - k, 0.0)
 
 
 def project_box(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Componentwise clamp to the interval [lo, hi]."""
-    if lo > hi:
+    if not lo <= hi:
         raise ValueError(f"empty box: lo={lo} > hi={hi}")
     return np.clip(x, lo, hi)
 
@@ -138,7 +138,8 @@ class QuadraticDataFit:
         itself and its mirror image, so it counts twice.
         """
         n1, n2 = self.R.grid_shape
-        spec = np.fft.rfft2(x.reshape(n1, n2), out=self._spec)
+        spec = np.fft.rfft(x.reshape(n1, n2), axis=1, out=self._spec)
+        np.fft.fft(spec, axis=0, out=spec)
         spec *= self.R.fft_symbol
         spec -= self._b_hat
         flat = self._spec_parts.reshape(-1)
@@ -165,20 +166,20 @@ class QuadraticDataFit:
             raise UnsupportedPreconditionerError(
                 "quadratic data-fit resolvent needs a scalar preconditioner"
             )
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError("step size must be positive")
         cached = self._solver_cache.get(tau)
         if cached is None:
             cached = self._solver_cache[tau] = self._solver(tau)
         solver, tau_rtb = cached
         rhs = np.add(x, tau_rtb, out=self._rhs)
-        shape = self.R.grid_shape
-        np.fft.rfft2(rhs.reshape(shape), out=self._spec)
+        grid, spec = rhs.reshape(self.R.grid_shape), self._spec
+        # rfft2 and irfft2 are these one-axis steps, here run in place
+        np.fft.rfft(grid, axis=1, out=spec)
+        np.fft.fft(spec, axis=0, out=spec)
         np.multiply(self._spec_parts, solver, out=self._spec_parts)
-        # irfftn, not irfft2: numpy 2.4's irfft2 passes out=None on to
-        # irfftn, so it returns a new array and leaves out= unwritten
-        np.fft.irfftn(self._spec, s=shape, axes=(0, 1),
-                      out=rhs.reshape(shape))
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.irfft(spec, n=grid.shape[1], axis=1, out=grid)
         return rhs
 
 
@@ -247,7 +248,7 @@ def l1_operator(alpha: float) -> MonotoneOp:
     """Subdifferential of alpha*||.||_1; resolvent is soft thresholding,
     and the resolvent of Sigma times its inverse is the projection
     clip(u, -alpha, alpha) onto the dual ball, for any diagonal Sigma."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
 
     def res(p: Precond, x: np.ndarray) -> np.ndarray:
@@ -265,7 +266,7 @@ def box_operator(lo: float, hi: float) -> MonotoneOp:
     and the resolvent of Sigma times its inverse is
     u - Sigma clip(Sigma^{-1} u, lo, hi) = u - clip(u, Sigma lo, Sigma hi)
     for a diagonal Sigma."""
-    if lo > hi:
+    if not lo <= hi:
         raise ValueError("empty box")
 
     def res(p: Precond, x: np.ndarray) -> np.ndarray:

@@ -181,9 +181,12 @@ def pd_resolvent(p: PDProblem, z: np.ndarray) -> np.ndarray:
     n = p.dim
     x = z[:n]
     acc, tmp = p._work
-    acc.fill(0.0)
-    for (_, l), sl in zip(p.blocks, p.dual_slices):
-        acc += l.adjoint(z[sl], out=tmp)
+    if not p.blocks:
+        acc.fill(0.0)
+    for i, ((_, l), sl) in enumerate(zip(p.blocks, p.dual_slices)):
+        w = l.adjoint(z[sl], out=tmp if i else acc)  # the first into acc
+        if i:
+            acc += w
     np.subtract(x, p.upsilon.apply(acc, out=acc), out=acc)
     out = np.empty_like(z)
     p_new = out[:n]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pdsplit import (
     DisplacementMonitor,
     FejerMonitor,
+    Monitor,
     RelaxationSchedule,
     hvector,
     km_iterate,
@@ -208,6 +210,22 @@ class TestKMIterate:
         )
         assert res.objectives[0] == pytest.approx(1.0)
         assert res.objectives[1] == pytest.approx(0.25)
+
+    def test_map_output_released_before_the_next_call(self):
+        # a solve keeps no map output past the step it was made for, so
+        # S may allocate its next output while the last one is freed
+        refs = []
+
+        def s(z):
+            assert all(r() is None for r in refs)
+            out = 0.5 * z
+            refs.append(weakref.ref(out))
+            return out
+
+        res = km_iterate(s, np.ones(3), RelaxationSchedule.constant(1.0),
+                         None, 5, monitors=(Monitor(),),
+                         objective_fn=lambda z: float(z[0]))
+        assert res.iterations == 5 and len(refs) == 5
 
 
 class TestMonitors:

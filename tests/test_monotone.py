@@ -411,6 +411,23 @@ class TestGaussianKernel:
             diagonal_precond([1.0, 2.0]), np.zeros(2)),
                  UnsupportedPreconditionerError,
                  "needs a scalar preconditioner", id="data-fit-diagonal"),
+    # NaN fails each comparison, so each of these is rejected
+    pytest.param(lambda: l1_operator(np.nan), ValueError,
+                 "alpha must be nonnegative", id="l1-nan-alpha"),
+    pytest.param(lambda: box_operator(np.nan, 1.0), ValueError, "empty box",
+                 id="box-nan-lo"),
+    pytest.param(lambda: box_operator(0.0, np.nan), ValueError, "empty box",
+                 id="box-nan-hi"),
+    pytest.param(lambda: prox_l1(np.ones(2), np.nan), ValueError,
+                 "soft-threshold level must be nonnegative",
+                 id="prox-l1-nan-level"),
+    pytest.param(lambda: project_box(np.ones(2), np.nan, 1.0), ValueError,
+                 "empty box", id="project-box-nan-lo"),
+    pytest.param(lambda: QuadraticDataFit(
+        build_gaussian_blur(1, 2, 1, 1.0), hvector([0.0, 0.0])).resolvent(
+            Precond(2, diag=np.nan), np.zeros(2)),
+                 ValueError, "step size must be positive",
+                 id="data-fit-nan-tau"),
 ])
 def test_input_checks(call, exc, fragment):
     with pytest.raises(exc) as info:

@@ -130,6 +130,14 @@ class TestPDResolvent:
         np.testing.assert_array_equal(first, kept)
         np.testing.assert_array_equal(pd_resolvent(p, z), kept)
 
+    def test_blockless_problem(self):
+        # with no dual block the primal step is J_{YA}(x): the adjoint
+        # sum starts from zero on every call, whatever the workspace held
+        p = PDProblem(monotone_linear(2.0), (), scalar_precond(0.5, 3), ())
+        for _ in range(2):
+            out = pd_resolvent(p, np.array([1.0, -2.0, 4.0]))
+            assert out.tolist() == [0.5, -1.0, 2.0]
+
     def test_block_mismatch(self, rng):
         p = scalar_instance()
         z = np.zeros(3)
