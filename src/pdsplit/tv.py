@@ -46,7 +46,7 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-# a solve holds about 234 bytes per pixel (measured between 512 x 512
+# a solve holds about 232 bytes per pixel (measured between 512 x 512
 # and 1024 x 1024), so a grid of MAX_PIXELS takes about 1.0 GB
 MAX_PIXELS = 2 ** 22
 # the largest peak * (1 + noise_std_rel): the data fit and psnr square
