@@ -245,7 +245,6 @@ def pd_iterate(
     eps: float | None,
     max_iter: int,
     monitors: tuple[Monitor, ...] = (),
-    objective_fn=None,
 ) -> KMResult:
     """Relaxed primal-dual iteration from the flat state ``z0`` in
     ``p``'s layout (see ``initial_state``).
@@ -259,10 +258,8 @@ def pd_iterate(
             f"step-size condition estimate {cond.norm_sq_estimate:.6g} "
             "exceeds 1"
         )
-    return km_iterate(
-        lambda z: pd_resolvent(p, z), z0, sched, eps, max_iter,
-        monitors=monitors, objective_fn=objective_fn,
-    )
+    return km_iterate(lambda z: pd_resolvent(p, z), z0, sched, eps,
+                      max_iter, monitors)
 
 
 def zero_inclusion_residual(p: PDProblem, z: np.ndarray) -> float:

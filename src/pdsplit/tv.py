@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -349,6 +350,89 @@ class TVRunResult(KMResult):
     problem: PDProblem | None = None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, if any)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+class _ObjectiveScorer(Monitor):
+    """``score`` of each iterate's first ``n`` entries, in ``values``,
+    by a helper forked in ``start`` on two usable CPUs.  ``observe``
+    copies the iterate into one of two shared slots, sends its index
+    down a pipe and waits for a reply only when both slots are
+    unscored.  Once the helper dies, the caller scores inline."""
+
+    def __init__(self, score, n: int):
+        self.score, self.n = score, n
+        self.values, self.sent = [], 0
+        self.pid = None  # the helper's; None while scoring inline
+
+    def start(self, z0) -> None:
+        if _usable_cpus() < 2 or not hasattr(os, "fork"):
+            return
+        # imported here: a caller that never forks should not load them
+        import mmap
+        import signal
+        self.slots = np.frombuffer(mmap.mmap(-1, 16 * self.n)).reshape(2, -1)
+        jobs, self.jobs = os.pipe()
+        self.results, done = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process or memory to spare: score inline
+            os.close(self.jobs)
+            os.close(self.results)
+        if self.pid == 0:
+            try:
+                # a terminal Ctrl-C ends the caller, whose exit ends this
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(self.jobs)
+                while index := os.read(jobs, 8):
+                    x = self.slots[int.from_bytes(index, "little") % 2]
+                    os.write(done, np.float64(self.score(x)).tobytes())
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(jobs)
+        os.close(done)
+
+    def observe(self, n, z, sz, z_next) -> None:
+        if self.pid is not None and self.sent - len(self.values) == 2:
+            self._receive()
+        if self.pid is None:
+            self.values.append(self.score(z_next[:self.n]))
+            return
+        np.copyto(self.slots[self.sent % 2], z_next[:self.n])
+        self.sent += 1
+        try:
+            os.write(self.jobs, (self.sent - 1).to_bytes(8, "little"))
+        except BrokenPipeError:
+            self.finish()
+
+    def _receive(self) -> None:
+        score = os.read(self.results, 8)
+        if score:
+            self.values.append(np.frombuffer(score)[0])
+            return
+        # the helper is gone: score what its slots still hold
+        self.close()
+        for k in range(len(self.values), self.sent):
+            self.values.append(self.score(self.slots[k % 2]))
+
+    def finish(self) -> np.ndarray:
+        while self.pid is not None and len(self.values) < self.sent:
+            self._receive()
+        return np.array(self.values)
+
+    def close(self) -> None:
+        """End the helper, which exits when its pipe closes."""
+        if self.pid is not None:
+            os.close(self.jobs)
+            os.close(self.results)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_tv_solver(
     cfg: TVConfig,
     observed: ImageGrid,
@@ -366,7 +450,8 @@ def run_tv_solver(
     application lands inside it.  The result's ``objective`` is
     ``tv_objective`` of that image, scored with the solve's own data
     fit and difference blocks; with ``record_objective`` its
-    ``objectives`` hold the same formula on each primal iterate.
+    ``objectives`` hold the same formula on each primal iterate, scored
+    in a helper process where two CPUs allow (``_ObjectiveScorer``).
     """
     problem = build_problem(cfg, observed, R)
     fit = problem.A
@@ -375,15 +460,20 @@ def run_tv_solver(
     shape = observed.shape
     n = problem.dim
 
-    def objective_fn(z: np.ndarray) -> float:
-        return tv_objective(z[:n].reshape(shape), fit, cfg.alpha, grads)
+    def score(x: np.ndarray) -> float:
+        return tv_objective(x.reshape(shape), fit, cfg.alpha, grads)
 
-    result = pd_iterate(
-        problem, problem.initial_state(observed.pixels),
-        RelaxationSchedule.constant(cfg.relaxation), cfg.eps, cfg.max_iter,
-        monitors=monitors,
-        objective_fn=objective_fn if record_objective else None,
-    )
+    scorer = _ObjectiveScorer(score, n)
+    # last, so that it forks after every other monitor's start
+    monitors = tuple(monitors) + ((scorer,) if record_objective else ())
+    try:
+        result = pd_iterate(problem, problem.initial_state(observed.pixels),
+                            RelaxationSchedule.constant(cfg.relaxation),
+                            cfg.eps, cfg.max_iter, monitors)
+        if record_objective:
+            result.objectives = scorer.finish()
+    finally:
+        scorer.close()
     restored = ImageGrid(result.state[:n].reshape(shape), observed.peak)
     objective = tv_objective(restored.pixels, fit, cfg.alpha, grads)
     return TVRunResult(**vars(result), image=restored, objective=objective,
@@ -622,20 +712,32 @@ def _run_share(configs: Sequence[TVConfig],
     return rows
 
 
+def _exit_with(parent: int) -> None:
+    """Pool initializer: a thread ends this worker when ``parent`` exits."""
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def sweep(configs: Sequence[TVConfig], instance: TVInstance,
           workers: int = 1) -> list[dict]:
     """One row per config, in order, from ``workers`` processes, the
-    calling one included, but at most one per cell and per CPU.
+    calling one included, but at most one per cell and per usable CPU.
 
     The cells are dealt round-robin: with P processes, share k is
     ``configs[k::P]``.  The caller runs share 0 itself and a process
-    pool of P - 1 forked workers runs the others, one share each; the
-    pool is shut down before the rows return.  A share rebuilds the
-    observation of each of its seeds (the blur operator holds closures,
-    which do not pickle, and ``observe`` is deterministic), so the rows
-    do not depend on ``workers`` apart from ``wall_ms``.
+    pool of P - 1 forked workers runs the others, one share each, and
+    is shut down before the rows return; a worker exits if the caller
+    does.  A share rebuilds the observation of each of its seeds (the
+    blur operator holds closures, which do not pickle, and ``observe``
+    is deterministic), so the rows depend on ``workers`` only in
+    ``wall_ms``.
     """
-    procs = min(workers, len(configs), os.cpu_count() or 1)
+    procs = min(workers, len(configs), _usable_cpus())
     if procs <= 1:
         return _run_share(configs, instance)
     # imported here: the pool's import costs every other caller of
@@ -648,7 +750,8 @@ def sweep(configs: Sequence[TVConfig], instance: TVInstance,
     # fork, which Python 3.14 no longer defaults to on Linux: a worker
     # started any other way pays the package import again
     with ProcessPoolExecutor(
-            procs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            procs - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with, initargs=(os.getpid(),)) as pool:
         futures = [pool.submit(_run_share, share, instance)
                    for share in shares[1:]]
         rows[0::procs] = _run_share(shares[0], instance)

@@ -1,15 +1,23 @@
+import contextlib
 import csv
 import math
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pdsplit
 from pdsplit import cli
 from pdsplit.cli import _KEYS, main
 from pdsplit.pgm import read_pgm
+from pdsplit.tv import _usable_cpus
 
 SOLVE_CONFIG = """
 [image]
@@ -849,3 +857,75 @@ def test_adversarial_value_gives_an_exit_code_not_a_traceback(
             for row in csv.DictReader(f):
                 if row["converged"] == "true":
                     assert float(row["final_residual"]) < eps
+
+
+def live_in_session(sid):
+    """Pids of the processes of session ``sid`` that are not zombies."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as f:
+                # after "pid (comm)": state, ppid, pgrp, session, ...
+                state, _, _, session = f.read().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):
+            continue  # not a pid, or gone
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+SIGNAL_CONFIG = """
+[image]
+n1 = 64
+n2 = 64
+peak = 1.0
+
+[sweep]
+tau_values = 0.4
+gamma1_values = 0.5 0.6
+gamma2_values = 0.01
+lambda_values = 1.9
+seeds = 0 1
+
+[solver]
+tau = 0.4
+gamma1 = 0.6
+gamma2 = 0.01
+lambda = 1.9
+eps = 1e-6
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or _usable_cpus() < 2,
+                    reason="needs /proc and 2 CPUs")
+class TestSignals:
+    """SIGTERM to the command's process alone ends its helpers too."""
+
+    @pytest.mark.parametrize("argv", [["solve-tv"],
+                                      ["sweep", "--workers", "2"]])
+    def test_sigterm_leaves_no_live_process(self, tmp_path, argv):
+        cfg = write_config(tmp_path, SIGNAL_CONFIG)
+        src = str(Path(pdsplit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pdsplit.cli", *argv, "--config", cfg,
+             "--out-dir", str(tmp_path / "out")],
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            # the helper or the pool worker has forked
+            deadline = time.monotonic() + 30
+            while len(live_in_session(proc.pid)) < 2:
+                assert proc.poll() is None, "the run ended before forking"
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 2
+            while live_in_session(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert live_in_session(proc.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()

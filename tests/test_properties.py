@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
@@ -47,6 +47,10 @@ critical_tv = given(
 )
 examples = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
+# the tests whose every example computes a shadow-fixed anchor (up to
+# 20000 resolvent steps) report the failing example as drawn: shrinking
+# it took minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def critical_problem(n1, n2, tau, gamma1, gamma2, rng):
@@ -136,7 +140,8 @@ def shadow_fixed_anchor(problem, z):
     return z
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None,
+          phases=NO_SHRINK)
 @given(n1=st.integers(3, 5), n2=st.integers(3, 5), tau=st.floats(0.05, 3.0),
        gamma1=fraction, gamma2=fraction, seed=st.integers(0, 2**32 - 1))
 def test_anchored_distance_never_increases(n1, n2, tau, gamma1, gamma2,
@@ -346,7 +351,8 @@ def check_km_energy(problem, anchor, z0, lams):
     assert np.all(r[1:] <= r[:-1] * (1.0 + 1e-12))
 
 
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          phases=NO_SHRINK)
 @given(n1=st.integers(3, 6), n2=st.integers(3, 6), tau=st.floats(0.05, 3.0),
        gamma1=fraction, gamma2=fraction, lams=schedules,
        seed=st.integers(0, 2**32 - 1))
@@ -358,7 +364,7 @@ def test_km_energy_inequality_on_critical_tv(n1, n2, tau, gamma1, gamma2,
     check_km_energy(problem, anchor, random_state(rng, n1 * n2), lams)
 
 
-@examples
+@settings(examples, phases=NO_SHRINK)
 @given(n=st.integers(1, 8), kind=preconds, lams=schedules,
        seed=st.integers(0, 2**32 - 1))
 def test_km_energy_inequality_on_drs(n, kind, lams, seed):

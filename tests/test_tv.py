@@ -2,12 +2,14 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
 
 from pdsplit import (
     ImageGrid,
+    Monitor,
     QuadraticDataFit,
     SweepGrid,
     TVConfig,
@@ -29,7 +31,7 @@ from pdsplit import (
     tv_objective,
     zero_inclusion_residual,
 )
-from pdsplit.tv import gaussian_kernel
+from pdsplit.tv import _usable_cpus, gaussian_kernel
 
 from conftest import adjoint_gap
 
@@ -345,6 +347,110 @@ class TestRunSolver:
         assert runs[1.9].iterations < runs[1.0].iterations
 
 
+class Fork:
+    """``os.fork`` that records the pid of each child it starts."""
+
+    def __init__(self, monkeypatch):
+        self.real, self.pids = os.fork, []
+        monkeypatch.setattr(os, "fork", self)
+
+    def __call__(self):
+        pid = self.real()
+        if pid:
+            self.pids.append(pid)
+        return pid
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the helper needs 2 CPUs")
+class TestObjectiveHelper:
+    """``record_objective`` scores on a forked helper process; inline on
+    one CPU, without ``os.fork`` or once the helper dies, to the same
+    bits."""
+
+    def solve(self, n1, n2, lam, max_iter=5000, monitors=()):
+        inst = TVInstance(n1=n1, n2=n2, peak=1.0, blur_size=3, eps=1e-5,
+                          max_iter=max_iter)
+        cfg = inst.config(0.4, lam, 3, gammas=(0.6, 0.01))
+        _, R, observed = inst.observe(3)
+        return run_tv_solver(cfg, observed, R, monitors=monitors,
+                             record_objective=True)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.9, 2.0])
+    @pytest.mark.parametrize("n1, n2", [(13, 9), (16, 16)])
+    def test_forked_objectives_are_the_inline_ones(self, n1, n2, lam,
+                                                   monkeypatch):
+        # lambda = 2 keeps the KM sum at 0: the run stops at max_iter
+        max_iter = 300 if lam == 2.0 else 5000
+        fork = Fork(monkeypatch)
+        forked = self.solve(n1, n2, lam, max_iter)
+        assert len(fork.pids) == 1
+        one_cpu(monkeypatch)
+        inline = self.solve(n1, n2, lam, max_iter)
+        assert len(fork.pids) == 1
+        assert forked.stop_reason == ("max_iter" if lam == 2.0 else "eps")
+        assert forked.objectives.dtype == np.float64
+        assert len(forked.objectives) == forked.iterations
+        assert forked.objectives.tobytes() == inline.objectives.tobytes()
+        assert forked.objective == inline.objective
+        assert_no_children()
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_without_a_fork_the_objectives_are_inline(self, fork,
+                                                      monkeypatch):
+        forked = self.solve(13, 9, 1.9)
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fail():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fail)
+        fd_dir = "/proc/self/fd"
+        fds = os.listdir(fd_dir) if os.path.isdir(fd_dir) else []
+        inline = self.solve(13, 9, 1.9)
+        assert forked.objectives.tobytes() == inline.objectives.tobytes()
+        if fds:  # no pipe end is left open
+            assert len(os.listdir(fd_dir)) == len(fds)
+
+    def test_a_killed_helper_leaves_the_objectives_whole(self, monkeypatch):
+        fork = Fork(monkeypatch)
+
+        class Killer(Monitor):
+            def observe(self, n, z, sz, z_next):
+                if n == 20:
+                    os.kill(fork.pids[0], signal.SIGKILL)
+
+        killed = self.solve(16, 16, 1.9, monitors=(Killer(),))
+        assert killed.iterations > 20
+        assert_no_children()
+        one_cpu(monkeypatch)
+        inline = self.solve(16, 16, 1.9)
+        assert killed.objectives.tobytes() == inline.objectives.tobytes()
+
+    def test_the_helper_is_reaped_also_when_a_monitor_raises(self):
+        self.solve(13, 9, 1.9)
+        assert_no_children()
+
+        class Raiser(Monitor):
+            def observe(self, n, z, sz, z_next):
+                if n == 5:
+                    raise RuntimeError("monitor failed")
+
+        with pytest.raises(RuntimeError, match="monitor failed"):
+            self.solve(13, 9, 1.9, monitors=(Raiser(),))
+        assert_no_children()
+
+
 class TestSweep:
     def _tiny(self):
         grid = SweepGrid(tau_values=(0.4,), gamma1_values=(0.6,),
@@ -376,6 +482,23 @@ class TestSweep:
         assert [(r["seed"], r["sigma1"]) for r in rows] == [
             (cfg.seed, cfg.sigma1) for cfg in grid.configs(inst)]
         assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_runs_serially(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool on one CPU")
+
+        grid, inst = self._tiny()
+        configs = grid.configs(dataclasses.replace(inst, max_iter=200))
+        rows = sweep(configs, inst)
+        one_cpu(monkeypatch)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        rows2 = sweep(configs, inst, workers=2)
+        assert [{k: v for k, v in r.items() if k != "wall_ms"}
+                for r in rows2] == [
+            {k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
 
     def test_default_grid_is_the_old_command_line_default(self):
         # the grid the sweep command built from its own default strings
